@@ -189,8 +189,23 @@ std::optional<JoinPredicate> AsJoinPredicate(const BoolExpr& leaf,
   return jp;
 }
 
-/// Rebuild an AND tree from leaves (nullptr when empty).
-std::unique_ptr<BoolExpr> AndOf(std::vector<std::unique_ptr<BoolExpr>> leaves) {
+/// Rebuild a left-deep AND tree from leaves (nullptr when empty). The
+/// leaves came out of a parsed WHERE, but a bushy AND tree has more leaves
+/// than levels, so the chain is refused when it would be deeper than any
+/// parsed expression may be (kMaxExprDepth).
+Result<std::unique_ptr<BoolExpr>> AndOf(
+    std::vector<std::unique_ptr<BoolExpr>> leaves) {
+  int depth = 0;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    int leaf = lang::Depth(*leaves[i]);
+    depth = i == 0 ? leaf : 1 + std::max(depth, leaf);
+  }
+  if (depth > lang::kMaxExprDepth) {
+    return Status::InvalidArgument(
+        StrCat("the WHERE clause's ", leaves.size(),
+               " conjuncts nest deeper than ", lang::kMaxExprDepth,
+               " levels once re-chained over the join"));
+  }
   std::unique_ptr<BoolExpr> out;
   for (auto& leaf : leaves) {
     out = out == nullptr ? std::move(leaf)
@@ -355,7 +370,8 @@ Result<MaterializedFrom> MaterializeFromClause(
     }
     rewritten_residual.push_back(std::move(leaf));
   }
-  rewritten.where = AndOf(std::move(rewritten_residual));
+  PAQL_ASSIGN_OR_RETURN(rewritten.where,
+                        AndOf(std::move(rewritten_residual)));
   PAQL_RETURN_IF_ERROR(
       RewriteGlobalPred(rewritten.such_that.get(), resolver));
   if (rewritten.objective.has_value()) {

@@ -204,13 +204,11 @@ Result<EvalResult> ParallelSketchRefineEvaluator::EvaluateGroupParallel(
   // driver does).
   const bool vectorized = options_.sketch_refine.vectorized;
   Stopwatch translate_watch;
-  std::vector<std::vector<RowId>> group_rows(partitioning_->num_groups());
   std::vector<RowId> base =
       vectorized ? query.ComputeBaseRowsVectorized(*table_, threads)
                  : query.ComputeBaseRows(*table_);
-  for (RowId r : base) {
-    group_rows[partitioning_->gid[r]].push_back(r);
-  }
+  PAQL_ASSIGN_OR_RETURN(std::vector<std::vector<RowId>> group_rows,
+                        partition::GroupRows(*partitioning_, base));
   std::vector<size_t> active;  // groups with candidates
   for (size_t g = 0; g < group_rows.size(); ++g) {
     if (!group_rows[g].empty()) active.push_back(g);

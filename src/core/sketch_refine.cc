@@ -51,7 +51,6 @@ class Driver {
     // Group the base relation by the offline partitioning. The base scan
     // runs chunked through the batch pipeline when enabled.
     Stopwatch translate_watch;
-    std::vector<std::vector<RowId>> group_rows(partitioning_.num_groups());
     translate::ScanCounters scan;
     std::vector<RowId> base =
         options_.vectorized
@@ -61,9 +60,8 @@ class Driver {
             : query_.ComputeBaseRows(table_);
     stats_.blocks_scanned = scan.blocks_scanned.load();
     stats_.blocks_pruned = scan.blocks_pruned.load();
-    for (RowId r : base) {
-      group_rows[partitioning_.gid[r]].push_back(r);
-    }
+    PAQL_ASSIGN_OR_RETURN(std::vector<std::vector<RowId>> group_rows,
+                          partition::GroupRows(partitioning_, base));
     stats_.translate_seconds += translate_watch.ElapsedSeconds();
 
     max_attempts_ = options_.max_refine_attempts > 0

@@ -313,11 +313,12 @@ Session::PartitioningFor(const ResolvedQuery& resolved, Plan* plan) {
   if (!resolved.joined_from) {
     key = PartitionRegistryKey(resolved.table_name, tau, attributes);
     if (auto hit = cache_->LookupPartitioning(key)) {
-      // A cached partitioning is only reusable for the row space this
-      // query resolved: a session holding an older snapshot must not read
-      // a partitioning that ApplyUpdates already advanced (its groups
-      // would reference rows past this snapshot's end), and vice versa.
-      if (hit->gid.size() == resolved.table->num_rows()) {
+      // A cached partitioning is only reusable for the snapshot this query
+      // resolved: a session holding an older snapshot must not read a
+      // partitioning that ApplyUpdates already advanced (its groups would
+      // reference rows past this snapshot's end, or leave out rows this
+      // snapshot still has live), and vice versa.
+      if (partition::PartitioningCovers(*hit, *resolved.table)) {
         plan->partitioning_reused = true;
         plan->partition_groups = hit->num_groups();
         return hit;
@@ -350,6 +351,23 @@ std::string Session::ArtifactKey(const ResolvedQuery& resolved) const {
   return os.str();
 }
 
+namespace {
+
+/// `cached` when it still covers the resolved snapshot `table`, else null
+/// (the caller then goes through PartitioningFor). A statement artifact
+/// pins its table instance, but its partitioning came from the shared
+/// registry, which ApplyUpdates may have advanced past that instance.
+std::shared_ptr<const partition::Partitioning> UsablePartitioning(
+    std::shared_ptr<const partition::Partitioning> cached,
+    const relation::ColumnSource& table) {
+  if (cached == nullptr || !partition::PartitioningCovers(*cached, table)) {
+    return nullptr;
+  }
+  return cached;
+}
+
+}  // namespace
+
 Result<std::unique_ptr<engine::PackageEvaluator>> Session::MakeStrategy(
     const ResolvedQuery& resolved, Plan* plan,
     std::shared_ptr<const partition::Partitioning> reuse_partitioning,
@@ -372,7 +390,7 @@ Result<std::unique_ptr<engine::PackageEvaluator>> Session::MakeStrategy(
           new RatioObjectiveStrategy(resolved.table));
     case Strategy::kSketchRefine: {
       std::shared_ptr<const partition::Partitioning> partitioning =
-          std::move(reuse_partitioning);
+          UsablePartitioning(std::move(reuse_partitioning), *resolved.table);
       if (partitioning != nullptr) {
         plan->partitioning_reused = true;
         plan->partition_groups = partitioning->num_groups();
@@ -385,7 +403,7 @@ Result<std::unique_ptr<engine::PackageEvaluator>> Session::MakeStrategy(
     }
     case Strategy::kParallelSketchRefine: {
       std::shared_ptr<const partition::Partitioning> partitioning =
-          std::move(reuse_partitioning);
+          UsablePartitioning(std::move(reuse_partitioning), *resolved.table);
       if (partitioning != nullptr) {
         plan->partitioning_reused = true;
         plan->partition_groups = partitioning->num_groups();
@@ -795,7 +813,7 @@ void Session::RepairStandingQuery(
         if (!KeyMatchesPolicy(key, resolved.table_name, attributes)) continue;
         auto hit = cache_->LookupPartitioning(key);
         if (hit == nullptr ||
-            hit->gid.size() != resolved.table->num_rows()) {
+            !partition::PartitioningCovers(*hit, *resolved.table)) {
           continue;
         }
         dirty_groups = &groups;

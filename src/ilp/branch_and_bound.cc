@@ -29,15 +29,36 @@ lp::SimplexOptions SimplexOptionsFor(const BranchAndBoundOptions& options) {
   return simplex;
 }
 
+/// Where a solve's time budget went before its search started. The search
+/// runs on what presolve and the root cut loop left over, so a time-limit
+/// failure reports the caller's limit and this split rather than the
+/// leftover.
+struct BudgetSpent {
+  double limit_s = 0;     // the caller's SolverLimits::time_limit_s
+  double presolve_s = 0;  // presolve pass
+  double cuts_s = 0;      // root cut loop (separation LP solves included)
+
+  /// kResourceExhausted for a time-limit overrun `where` ("" or a phrase
+  /// such as " during a node LP solve") after `search_s` of search.
+  Status TimeLimit(const char* where, double search_s) const {
+    return Status::ResourceExhausted(
+        StrCat("ILP time limit of ", limit_s, "s exceeded", where,
+               " (presolve ", presolve_s, "s, root cuts ", cuts_s,
+               "s, search ", search_s, "s)"));
+  }
+};
+
 /// Internal search driver. Works in "internal minimize" space: objectives
 /// are multiplied by `sign` (+1 minimize, -1 maximize) so that smaller is
 /// always better.
 class Searcher {
  public:
   Searcher(const lp::Model& model, const SolverLimits& limits,
-           const BranchAndBoundOptions& options, IlpWarmStart* warm)
+           const BranchAndBoundOptions& options, IlpWarmStart* warm,
+           const BudgetSpent& spent)
       : model_(model),
         limits_(limits),
+        spent_(spent),
         options_(options),
         solver_(model, SimplexOptionsFor(options)),
         warm_(options.warm_start ? warm : nullptr),
@@ -53,10 +74,9 @@ class Searcher {
   }
 
   Result<IlpSolution> Run() {
-    Stopwatch watch;
     base_bytes_ = solver_.ApproximateBytes() + model_.ApproximateBytes();
     Status status = Search();
-    stats_.wall_seconds = watch.ElapsedSeconds();
+    stats_.wall_seconds = watch_.ElapsedSeconds();
     stats_.peak_memory_bytes = EstimatedBytes();
     if (!status.ok() && !status.IsResourceExhausted()) return status;
     if (!has_incumbent_) {
@@ -71,7 +91,7 @@ class Searcher {
       return status;
     }
     IlpSolution solution;
-    solution.x = incumbent_;
+    solution.x = std::move(incumbent_);
     solution.objective = sign_ * incumbent_obj_;
     solution.stats = stats_;
     return solution;
@@ -114,10 +134,19 @@ class Searcher {
                              (SolverLimits::kBytesPerOpenNode / 2);
   }
 
+  /// The open frame at `depth_` (its slot reused from an earlier frame
+  /// when there is one, so its parent-basis storage is too).
+  Frame& PushFrame() {
+    if (depth_ == stack_.size()) stack_.emplace_back();
+    Frame& frame = stack_[depth_++];
+    frame.next_child = 0;
+    frame.parent_basis.valid = false;
+    return frame;
+  }
+
   Status CheckBudgets() {
     if (limits_.time_limit_s > 0 && deadline_.Expired()) {
-      return Status::ResourceExhausted(
-          StrCat("ILP time limit of ", limits_.time_limit_s, "s exceeded"));
+      return spent_.TimeLimit("", watch_.ElapsedSeconds());
     }
     if (limits_.max_nodes > 0 && stats_.nodes >= limits_.max_nodes) {
       return Status::ResourceExhausted(
@@ -195,17 +224,18 @@ class Searcher {
   }
 
   void OfferIncumbent(const std::vector<double>& x) {
-    // Snap integer variables exactly.
-    std::vector<double> snapped = x;
+    // Snap integer variables exactly (into the reused scratch; an accepted
+    // point swaps places with the old incumbent).
+    snapped_.assign(x.begin(), x.end());
     for (int j = 0; j < model_.num_vars(); ++j) {
-      if (model_.is_integer()[j]) snapped[j] = std::round(snapped[j]);
+      if (model_.is_integer()[j]) snapped_[j] = std::round(snapped_[j]);
     }
-    if (!model_.IsFeasible(snapped, 1e-6)) return;
-    double obj = sign_ * model_.ObjectiveValue(snapped);
+    if (!model_.IsFeasible(snapped_, 1e-6)) return;
+    double obj = sign_ * model_.ObjectiveValue(snapped_);
     if (!has_incumbent_ || obj < incumbent_obj_ - 1e-12) {
       has_incumbent_ = true;
       incumbent_obj_ = obj;
-      incumbent_ = std::move(snapped);
+      incumbent_.swap(snapped_);
     }
   }
 
@@ -214,25 +244,26 @@ class Searcher {
   /// point quickly. All bound changes are rolled back before returning.
   void Dive(const std::vector<double>& root_x) {
     std::vector<std::tuple<int, double, double>> undo;
-    std::vector<double> x = root_x;
+    const std::vector<double>* x = &root_x;
     for (int depth = 0; depth < options_.dive_max_depth; ++depth) {
-      int j = PickBranchVar(x);
+      int j = PickBranchVar(*x);
       if (j < 0) {
-        OfferIncumbent(x);
+        OfferIncumbent(*x);
         break;
       }
-      double target = std::round(x[j]);
+      double target = std::round((*x)[j]);
       target = std::clamp(target, solver_.var_lb(j), solver_.var_ub(j));
       undo.emplace_back(j, solver_.var_lb(j), solver_.var_ub(j));
       solver_.SetVarBounds(j, target, target);
-      lp::LpResult lp = solver_.Solve(deadline_);
+      lp::LpResult& lp = dive_lp_;
+      solver_.Solve(deadline_, &lp);
       stats_.lp_iterations += lp.iterations;
       stats_.pricing_candidate_hits += lp.pricing_candidate_hits;
       stats_.bound_flips += lp.bound_flips;
       stats_.dse_pivots += lp.dse_pivots;
       if (lp.used_dual) ++stats_.warm_lp_solves;
       if (lp.status != lp::LpStatus::kOptimal) break;
-      x = lp.x;
+      x = &lp.x;
     }
     for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
       solver_.SetVarBounds(std::get<0>(*it), std::get<1>(*it),
@@ -282,9 +313,11 @@ class Searcher {
   }
 
   Status Search() {
-    std::vector<Frame> stack;
-    // Depth-first search; each iteration either expands the next child of
-    // the top frame or evaluates a fresh node (after a bound change).
+    // Depth-first search over stack_[0, depth_); each iteration either
+    // expands the next child of the top frame or evaluates a fresh node
+    // (after a bound change). Frames, their basis snapshots, the node LP
+    // result and the incumbent scratch are all reused, so a node allocates
+    // nothing sized by the column count.
     bool evaluate_current = true;  // root pending
     bool root = true;
     while (true) {
@@ -297,13 +330,14 @@ class Searcher {
         evaluate_current = false;
         ++stats_.nodes;
         stats_.max_depth =
-            std::max<int64_t>(stats_.max_depth, static_cast<int64_t>(stack.size()));
+            std::max<int64_t>(stats_.max_depth, static_cast<int64_t>(depth_));
         if (root && warm_ != nullptr) {
           // Seed the root LP from the previous solve's root basis (ignored
           // on dimension mismatch — e.g. a different cut count).
           solver_.RestoreBasis(warm_->root_basis);
         }
-        lp::LpResult lp = solver_.Solve(deadline_);
+        lp::LpResult& lp = node_lp_;
+        solver_.Solve(deadline_, &lp);
         stats_.lp_iterations += lp.iterations;
         stats_.pricing_candidate_hits += lp.pricing_candidate_hits;
         stats_.bound_flips += lp.bound_flips;
@@ -324,7 +358,8 @@ class Searcher {
         PendingBranch pending = pending_;
         pending_.active = false;  // attribution applies to this node only
         if (lp.status == lp::LpStatus::kTimeLimit) {
-          return Status::ResourceExhausted("LP time limit during node solve");
+          return spent_.TimeLimit(" during a node LP solve",
+                                  watch_.ElapsedSeconds());
         }
         if (lp.status == lp::LpStatus::kIterationLimit) {
           return Status::ResourceExhausted("LP iteration limit");
@@ -371,9 +406,9 @@ class Searcher {
               // Expand: create a frame with two children, nearest-first.
               // The basis snapshot must precede the dive, which pivots the
               // solver away from this node's optimal basis.
-              Frame frame;
+              Frame& frame = PushFrame();
               if (options_.warm_start) {
-                frame.parent_basis = solver_.SnapshotBasis();
+                solver_.SnapshotBasis(&frame.parent_basis);
               }
               if (root && options_.enable_diving_heuristic) {
                 Dive(lp.x);
@@ -397,7 +432,6 @@ class Searcher {
               frame.child_is_down[0] = down_first;
               frame.child_is_down[1] = !down_first;
               frame.frac = v - floor_v;
-              stack.push_back(frame);
             }
           }
         }
@@ -407,8 +441,8 @@ class Searcher {
       }
 
       // Expand the next child of the top frame, or pop it.
-      if (stack.empty()) break;
-      Frame& top = stack.back();
+      if (depth_ == 0) break;
+      Frame& top = stack_[depth_ - 1];
       // Prune remaining children if the bound can no longer beat the
       // incumbent (the parent LP bound is a valid bound for both children).
       bool prune_rest =
@@ -418,7 +452,7 @@ class Searcher {
                   options_.gap_tol * (1.0 + std::abs(incumbent_obj_));
       if (top.next_child >= 2 || (prune_rest && top.next_child > 0)) {
         solver_.SetVarBounds(top.var, top.saved_lb, top.saved_ub);
-        stack.pop_back();
+        --depth_;
         continue;
       }
       double lb = top.child_values[top.next_child][0];
@@ -442,9 +476,11 @@ class Searcher {
 
   const lp::Model& model_;
   SolverLimits limits_;
+  BudgetSpent spent_;
   BranchAndBoundOptions options_;
   lp::SimplexSolver solver_;
   IlpWarmStart* warm_;  // not owned; null when warm starting is off
+  Stopwatch watch_;
   Deadline deadline_;
   double sign_;
 
@@ -453,6 +489,15 @@ class Searcher {
   double incumbent_obj_ = 0;
   std::vector<double> incumbent_;
   size_t base_bytes_ = 0;
+
+  // Reused per-node state: the depth-first stack (slots past depth_ keep
+  // their basis storage), the node and dive LP results, and the snapped
+  // candidate incumbent.
+  std::vector<Frame> stack_;
+  size_t depth_ = 0;
+  lp::LpResult node_lp_;
+  lp::LpResult dive_lp_;
+  std::vector<double> snapped_;
 
   // Root LP data for reduced-cost fixing (internal minimize space).
   bool root_data_valid_ = false;
@@ -511,9 +556,10 @@ class ParallelSearcher {
  public:
   ParallelSearcher(const lp::Model& model, const SolverLimits& limits,
                    const BranchAndBoundOptions& options, IlpWarmStart* warm,
-                   int threads)
+                   int threads, const BudgetSpent& spent)
       : model_(model),
         limits_(limits),
+        spent_(spent),
         options_(options),
         warm_(options.warm_start ? warm : nullptr),
         threads_(threads),
@@ -522,9 +568,8 @@ class ParallelSearcher {
         incumbent_obj_atomic_(std::numeric_limits<double>::infinity()) {}
 
   Result<IlpSolution> Run() {
-    Stopwatch watch;
     Status status = Search();
-    stats_.wall_seconds = watch.ElapsedSeconds();
+    stats_.wall_seconds = watch_.ElapsedSeconds();
     stats_.peak_memory_bytes = EstimatedBytes();
     if (!status.ok() && !status.IsResourceExhausted()) return status;
     if (!has_incumbent_) {
@@ -537,7 +582,7 @@ class ParallelSearcher {
       return status;
     }
     IlpSolution solution;
-    solution.x = incumbent_;
+    solution.x = std::move(incumbent_);
     solution.objective = sign_ * incumbent_obj_;
     solution.stats = FinalStats();
     return solution;
@@ -567,14 +612,58 @@ class ParallelSearcher {
     double lb, ub;
   };
 
+  /// A basis stored as its difference from the root LP's basis: the
+  /// statuses that differ, plus the basic variable of every row. A parent
+  /// basis differs from the root only where the pivots and bound flips on
+  /// its path moved it, so it costs bytes per moved column instead of one
+  /// byte per column — and the open frontier of a time-limited search
+  /// holds hundreds of parents.
+  struct BasisDelta {
+    std::vector<std::pair<int, uint8_t>> status;  // (var, status) != root
+    std::vector<int> rows;
+    bool valid = false;
+  };
+
   /// One open node: the bound changes on its root path and the basis its
   /// parent LP solved to (shared between siblings).
   struct Frame {
     std::vector<BoundChange> path;
-    std::shared_ptr<const lp::Basis> parent_basis;
+    std::shared_ptr<const BasisDelta> parent_basis;
     double parent_bound = 0;  // internal-minimize LP bound of the parent
     uint64_t seq = 0;         // creation order, the incumbent tie-break
   };
+
+  /// One worker's reused per-node state. Built and sized on the calling
+  /// thread before the drain starts, like the worker solvers themselves.
+  struct WorkerScratch {
+    lp::LpResult lp;
+    std::vector<double> snapped;
+    std::vector<int> applied;  // vars whose bounds differ from the root
+    lp::Basis basis;           // a frame basis expanded from its delta
+  };
+
+  /// `basis` (same shape as the root basis) as a delta from the root.
+  std::shared_ptr<const BasisDelta> DeltaFromRoot(const lp::Basis& basis) {
+    auto delta = std::make_shared<BasisDelta>();
+    for (size_t j = 0; j < basis.status.size(); ++j) {
+      if (basis.status[j] != root_basis_.status[j]) {
+        delta->status.emplace_back(static_cast<int>(j), basis.status[j]);
+      }
+    }
+    delta->rows = basis.rows;
+    delta->valid = basis.valid;
+    return delta;
+  }
+
+  /// The full basis `delta` encodes, into `out` (capacity reused).
+  void ExpandDelta(const BasisDelta& delta, lp::Basis* out) const {
+    out->status.assign(root_basis_.status.begin(), root_basis_.status.end());
+    for (const auto& [var, status] : delta.status) {
+      out->status[static_cast<size_t>(var)] = status;
+    }
+    out->rows.assign(delta.rows.begin(), delta.rows.end());
+    out->valid = delta.valid;
+  }
 
   size_t EstimatedBytes() const {
     return base_bytes_ +
@@ -584,8 +673,7 @@ class ParallelSearcher {
 
   Status CheckBudgets() const {
     if (limits_.time_limit_s > 0 && deadline_.Expired()) {
-      return Status::ResourceExhausted(
-          StrCat("ILP time limit of ", limits_.time_limit_s, "s exceeded"));
+      return spent_.TimeLimit("", watch_.ElapsedSeconds());
     }
     int64_t nodes = stats_.nodes.load(std::memory_order_relaxed);
     if (limits_.max_nodes > 0 && nodes >= limits_.max_nodes) {
@@ -611,13 +699,16 @@ class ParallelSearcher {
   /// the frame sequence number breaking near-ties deterministically, so
   /// which of two equally-good solutions wins does not depend on which
   /// worker got there first.
-  void OfferIncumbent(const std::vector<double>& x, uint64_t seq) {
-    std::vector<double> snapped = x;
+  /// `snapped` is the calling worker's scratch; an accepted point swaps
+  /// places with the old incumbent.
+  void OfferIncumbent(const std::vector<double>& x, uint64_t seq,
+                      std::vector<double>* snapped) {
+    snapped->assign(x.begin(), x.end());
     for (int j = 0; j < model_.num_vars(); ++j) {
-      if (model_.is_integer()[j]) snapped[j] = std::round(snapped[j]);
+      if (model_.is_integer()[j]) (*snapped)[j] = std::round((*snapped)[j]);
     }
-    if (!model_.IsFeasible(snapped, 1e-6)) return;
-    double obj = sign_ * model_.ObjectiveValue(snapped);
+    if (!model_.IsFeasible(*snapped, 1e-6)) return;
+    double obj = sign_ * model_.ObjectiveValue(*snapped);
     std::lock_guard<std::mutex> lock(incumbent_mu_);
     bool better = !has_incumbent_ || obj < incumbent_obj_ - 1e-12;
     bool tied_earlier = has_incumbent_ && !better &&
@@ -626,7 +717,7 @@ class ParallelSearcher {
       has_incumbent_ = true;
       incumbent_obj_ = obj;
       incumbent_seq_ = seq;
-      incumbent_ = std::move(snapped);
+      incumbent_.swap(*snapped);
       incumbent_obj_atomic_.store(obj, std::memory_order_relaxed);
     }
   }
@@ -686,9 +777,9 @@ class ParallelSearcher {
 
   /// One worker: drain frames until the tree is exhausted or a budget
   /// trips. `solver` starts at the post-fixing root bounds.
-  void WorkerLoop(lp::SimplexSolver* solver) {
+  void WorkerLoop(lp::SimplexSolver* solver, WorkerScratch* scratch) {
     WorkerStats local;
-    std::vector<int> applied;  // vars whose bounds differ from the root
+    std::vector<int>& applied = scratch->applied;
     Frame frame;
     while (PopFrame(&frame)) {
       // Same cooperative preemption point as the serial search. PopFrame
@@ -723,9 +814,11 @@ class ParallelSearcher {
       }
       if (options_.warm_start && frame.parent_basis != nullptr &&
           frame.parent_basis->valid) {
-        solver->RestoreBasis(*frame.parent_basis);
+        ExpandDelta(*frame.parent_basis, &scratch->basis);
+        solver->RestoreBasis(scratch->basis);
       }
-      lp::LpResult lp = solver->Solve(deadline_);
+      lp::LpResult& lp = scratch->lp;
+      solver->Solve(deadline_, &lp);
       local.lp_iterations += lp.iterations;
       local.pricing_candidate_hits += lp.pricing_candidate_hits;
       local.bound_flips += lp.bound_flips;
@@ -733,7 +826,8 @@ class ParallelSearcher {
       if (lp.used_dual) ++local.warm_lp_solves;
       if (lp.status == lp::LpStatus::kTimeLimit) {
         FinishFrame();
-        Abort(Status::ResourceExhausted("LP time limit during node solve"));
+        Abort(spent_.TimeLimit(" during a node LP solve",
+                               watch_.ElapsedSeconds()));
         break;
       }
       if (lp.status == lp::LpStatus::kIterationLimit) {
@@ -749,12 +843,13 @@ class ParallelSearcher {
           int branch_var = PickBranchVarStateless(
               model_, lp.x, options_.integrality_tol, options_.branch_rule);
           if (branch_var < 0) {
-            OfferIncumbent(lp.x, frame.seq);
+            OfferIncumbent(lp.x, frame.seq, &scratch->snapped);
           } else {
-            auto basis = options_.warm_start
-                             ? std::make_shared<const lp::Basis>(
-                                   solver->SnapshotBasis())
-                             : nullptr;
+            std::shared_ptr<const BasisDelta> basis;
+            if (options_.warm_start) {
+              solver->SnapshotBasis(&scratch->basis);
+              basis = DeltaFromRoot(scratch->basis);
+            }
             double v = lp.x[branch_var];
             double floor_v = std::floor(v);
             double lb = solver->var_lb(branch_var);
@@ -828,29 +923,31 @@ class ParallelSearcher {
   }
 
   /// Root diving heuristic on the root worker's solver (bounds rolled
-  /// back), as in the serial search.
-  void Dive(lp::SimplexSolver* solver, const std::vector<double>& root_x) {
+  /// back), as in the serial search; `scratch` is the root worker's.
+  void Dive(lp::SimplexSolver* solver, const std::vector<double>& root_x,
+            WorkerScratch* scratch) {
     std::vector<std::tuple<int, double, double>> undo;
-    std::vector<double> x = root_x;
+    const std::vector<double>* x = &root_x;
     for (int depth = 0; depth < options_.dive_max_depth; ++depth) {
-      int j = PickBranchVarStateless(model_, x, options_.integrality_tol,
+      int j = PickBranchVarStateless(model_, *x, options_.integrality_tol,
                                      options_.branch_rule);
       if (j < 0) {
-        OfferIncumbent(x, 0);
+        OfferIncumbent(*x, 0, &scratch->snapped);
         break;
       }
-      double target = std::round(x[j]);
+      double target = std::round((*x)[j]);
       target = std::clamp(target, solver->var_lb(j), solver->var_ub(j));
       undo.emplace_back(j, solver->var_lb(j), solver->var_ub(j));
       solver->SetVarBounds(j, target, target);
-      lp::LpResult lp = solver->Solve(deadline_);
+      lp::LpResult& lp = scratch->lp;
+      solver->Solve(deadline_, &lp);
       stats_.lp_iterations += lp.iterations;
       stats_.pricing_candidate_hits += lp.pricing_candidate_hits;
       stats_.bound_flips += lp.bound_flips;
       stats_.dse_pivots += lp.dse_pivots;
       if (lp.used_dual) ++stats_.warm_lp_solves;
       if (lp.status != lp::LpStatus::kOptimal) break;
-      x = lp.x;
+      x = &lp.x;
     }
     for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
       solver->SetVarBounds(std::get<0>(*it), std::get<1>(*it),
@@ -875,7 +972,8 @@ class ParallelSearcher {
     if (lp.used_dual) ++stats_.warm_lp_solves;
     if (warm_ != nullptr) warm_->root_basis = root_solver.SnapshotBasis();
     if (lp.status == lp::LpStatus::kTimeLimit) {
-      return Status::ResourceExhausted("LP time limit during root solve");
+      return spent_.TimeLimit(" during the root LP solve",
+                              watch_.ElapsedSeconds());
     }
     if (lp.status == lp::LpStatus::kIterationLimit) {
       return Status::ResourceExhausted("LP iteration limit");
@@ -895,7 +993,10 @@ class ParallelSearcher {
       root_status_ = root_solver.SnapshotBasis().status;
       root_data_valid_ = true;
     }
-    if (options_.enable_rounding_heuristic) OfferIncumbent(lp.x, 0);
+    std::vector<WorkerScratch> scratch(static_cast<size_t>(threads_));
+    if (options_.enable_rounding_heuristic) {
+      OfferIncumbent(lp.x, 0, &scratch[0].snapped);
+    }
     ApplyReducedCostFixing(&root_solver);
     bool pruned =
         has_incumbent_ && bound >= IncumbentCutoff(incumbent_obj_);
@@ -903,17 +1004,18 @@ class ParallelSearcher {
         pruned ? -1
                : PickBranchVarStateless(model_, lp.x, options_.integrality_tol,
                                         options_.branch_rule);
-    if (!pruned && branch_var < 0) OfferIncumbent(lp.x, 0);
+    if (!pruned && branch_var < 0) OfferIncumbent(lp.x, 0, &scratch[0].snapped);
     if (pruned || branch_var < 0) {
       stats_.proven_optimal = has_incumbent_;
       return Status::OK();
     }
-    auto root_basis = options_.warm_start
-                          ? std::make_shared<const lp::Basis>(
-                                root_solver.SnapshotBasis())
-                          : nullptr;
+    std::shared_ptr<const BasisDelta> root_basis;
+    if (options_.warm_start) {
+      root_solver.SnapshotBasis(&root_basis_);
+      root_basis = DeltaFromRoot(root_basis_);
+    }
     if (options_.enable_diving_heuristic) {
-      Dive(&root_solver, lp.x);
+      Dive(&root_solver, lp.x, &scratch[0]);
       ApplyReducedCostFixing(&root_solver);
     }
     // The post-fixing bounds are the root state every worker rebases onto.
@@ -952,23 +1054,28 @@ class ParallelSearcher {
       }
     }
 
-    // --- Concurrent drain: `threads_` workers off the shared pool, each
-    // --- with its own simplex instance rebased to the root bounds.
+    // --- Concurrent drain: `threads_` workers off the shared pool. The
+    // --- root worker reuses the root solver (and its basis); the others
+    // --- share its columns and costs and start at the root bounds. All
+    // --- are built here, on the calling thread, with their scratch sized,
+    // --- so the drain allocates nothing sized by the column count.
+    std::vector<std::unique_ptr<lp::SimplexSolver>> solvers;
+    for (int w = 1; w < threads_; ++w) {
+      solvers.push_back(std::make_unique<lp::SimplexSolver>(
+          root_solver, SimplexOptionsFor(options_)));
+    }
+    for (WorkerScratch& ws : scratch) {
+      ws.lp.x.reserve(static_cast<size_t>(model_.num_vars()));
+      ws.snapped.reserve(static_cast<size_t>(model_.num_vars()));
+      ws.basis.status.reserve(root_basis_.status.size());
+      ws.basis.rows.reserve(root_basis_.rows.size());
+    }
     ThreadPool::Global().ParallelFor(
         static_cast<size_t>(threads_), 1, threads_,
         [&](size_t begin, size_t end) {
           for (size_t w = begin; w < end; ++w) {
-            if (w == 0) {
-              // The root worker reuses the root solver (and its basis).
-              WorkerLoop(&root_solver);
-            } else {
-              lp::SimplexSolver solver(model_, SimplexOptionsFor(options_));
-              for (int j = 0; j < model_.num_vars(); ++j) {
-                solver.SetVarBounds(j, root_lb_[static_cast<size_t>(j)],
-                                    root_ub_[static_cast<size_t>(j)]);
-              }
-              WorkerLoop(&solver);
-            }
+            WorkerLoop(w == 0 ? &root_solver : solvers[w - 1].get(),
+                       &scratch[w]);
           }
         });
 
@@ -1003,12 +1110,17 @@ class ParallelSearcher {
 
   const lp::Model& model_;
   SolverLimits limits_;
+  BudgetSpent spent_;
   BranchAndBoundOptions options_;
   IlpWarmStart* warm_;
   int threads_;
+  Stopwatch watch_;
   Deadline deadline_;
   double sign_;
   size_t base_bytes_ = 0;
+
+  // The root LP's basis, which frame bases are stored as deltas from.
+  lp::Basis root_basis_;
 
   // Shared incumbent.
   std::mutex incumbent_mu_;
@@ -1090,7 +1202,9 @@ lp::Model AddRootCuts(const lp::Model& model,
     }
     if (!fractional) break;
     std::vector<Cut> cuts = SeparateCuts(augmented, lp.x, options.cuts);
-    if (cuts.empty()) break;
+    // A separation that ran past the deadline leaves the search no time
+    // to use its cuts.
+    if (cuts.empty() || deadline.Expired()) break;
     for (Cut& cut : cuts) {
       if (augmented.AddRow(std::move(cut.row)).ok()) ++*cuts_added;
     }
@@ -1106,18 +1220,19 @@ lp::Model AddRootCuts(const lp::Model& model,
 Result<IlpSolution> RunSearch(const lp::Model& model,
                               const SolverLimits& limits,
                               const BranchAndBoundOptions& options,
-                              IlpWarmStart* warm, IlpStats* stats_out) {
+                              IlpWarmStart* warm, IlpStats* stats_out,
+                              const BudgetSpent& spent) {
   int threads = ClampThreads(options.threads);
   if (threads > 1 && model.num_integer_vars() >= kMinVarsForParallelSearch &&
       options.branch_rule != BranchRule::kPseudoCost) {
-    ParallelSearcher searcher(model, limits, options, warm, threads);
+    ParallelSearcher searcher(model, limits, options, warm, threads, spent);
     auto solution = searcher.Run();
     if (stats_out) {
       *stats_out = solution.ok() ? solution->stats : searcher.FinalStats();
     }
     return solution;
   }
-  Searcher searcher(model, limits, options, warm);
+  Searcher searcher(model, limits, options, warm, spent);
   auto solution = searcher.Run();
   if (stats_out) {
     *stats_out = solution.ok() ? solution->stats : searcher.stats();
@@ -1130,10 +1245,11 @@ Result<IlpSolution> RunSearch(const lp::Model& model,
 Result<IlpSolution> SolveWithCuts(const lp::Model& model,
                                   const SolverLimits& limits,
                                   const BranchAndBoundOptions& options,
-                                  IlpWarmStart* warm, IlpStats* stats_out) {
+                                  IlpWarmStart* warm, IlpStats* stats_out,
+                                  BudgetSpent spent) {
   if (!options.cuts.enable || model.num_integer_vars() == 0 ||
       model.num_rows() == 0) {
-    return RunSearch(model, limits, options, warm, stats_out);
+    return RunSearch(model, limits, options, warm, stats_out, spent);
   }
   Stopwatch cut_watch;
   Deadline deadline(limits.time_limit_s);
@@ -1145,12 +1261,14 @@ Result<IlpSolution> SolveWithCuts(const lp::Model& model,
                   &lp_iterations, &pricing_hits, &cut_bound_flips,
                   &cut_dse_pivots, warm);
   double cut_seconds = cut_watch.ElapsedSeconds();
+  spent.cuts_s = cut_seconds;
   SolverLimits search_limits = limits;
   if (search_limits.time_limit_s > 0) {
     search_limits.time_limit_s =
         std::max(1e-3, search_limits.time_limit_s - cut_seconds);
   }
-  auto solution = RunSearch(augmented, search_limits, options, warm, stats_out);
+  auto solution =
+      RunSearch(augmented, search_limits, options, warm, stats_out, spent);
   if (solution.ok()) {
     solution->stats.cuts_added = cuts_added;
     solution->stats.cut_rounds = cut_rounds;
@@ -1186,9 +1304,11 @@ Result<IlpSolution> SolveIlp(const lp::Model& model, const SolverLimits& limits,
   // warm path to cold solves. Basis reuse wins there; presolve stays for
   // the one-shot solves.
   const bool warm_chain = warm != nullptr && warm->chain && options.warm_start;
+  BudgetSpent spent;
+  spent.limit_s = limits.time_limit_s;
   if (!options.presolve || warm_chain || model.num_vars() == 0 ||
       model.num_rows() == 0) {
-    return SolveWithCuts(model, limits, options, warm, stats_out);
+    return SolveWithCuts(model, limits, options, warm, stats_out, spent);
   }
   Stopwatch presolve_watch;
   lp::PresolveInfo info;
@@ -1218,9 +1338,10 @@ Result<IlpSolution> SolveIlp(const lp::Model& model, const SolverLimits& limits,
     // solution through.
     const lp::Model& solve_model = info.identity ? model : reduced;
     double presolve_seconds = presolve_watch.ElapsedSeconds();
+    spent.presolve_s = presolve_seconds;
     auto solution =
         SolveWithCuts(solve_model, deduct_presolve(presolve_seconds), options,
-                      warm, stats_out);
+                      warm, stats_out, spent);
     if (solution.ok()) {
       solution->stats.wall_seconds += presolve_seconds;
     }
@@ -1256,9 +1377,10 @@ Result<IlpSolution> SolveIlp(const lp::Model& model, const SolverLimits& limits,
     return solution;
   }
   double presolve_seconds = presolve_watch.ElapsedSeconds();
+  spent.presolve_s = presolve_seconds;
   auto solution =
       SolveWithCuts(reduced, deduct_presolve(presolve_seconds), options, warm,
-                    stats_out);
+                    stats_out, spent);
   if (stats_out) {
     stats_out->presolve_fixed_vars = info.vars_fixed;
     stats_out->presolve_dropped_rows = info.rows_dropped;

@@ -41,31 +41,40 @@ SimplexSolver::SimplexSolver(const Model& model, SimplexOptions options)
 
   // Column storage: dense column-major for small models; CSC otherwise
   // (reusing the model's attached view when translate built one).
+  auto columns = std::make_shared<ModelColumns>();
   if (static_cast<size_t>(n_) * m_ <= kDenseColsLimit) {
-    dense_ = true;
-    dense_cols_.assign(static_cast<size_t>(n_) * m_, 0.0);
+    columns->dense = true;
+    columns->dense_cols.assign(static_cast<size_t>(n_) * m_, 0.0);
     for (int i = 0; i < m_; ++i) {
       const RowDef& row = model.rows()[i];
       for (size_t k = 0; k < row.vars.size(); ++k) {
-        dense_cols_[static_cast<size_t>(row.vars[k]) * m_ + i] += row.coefs[k];
+        columns->dense_cols[static_cast<size_t>(row.vars[k]) * m_ + i] +=
+            row.coefs[k];
       }
     }
   } else if (std::shared_ptr<const SparseMatrix> attached =
                  model.shared_columns();
              attached != nullptr && attached->num_cols() == n_ &&
              attached->num_rows() == m_) {
-    attached_hold_ = std::move(attached);
-    csc_ = attached_hold_.get();
+    columns->attached = std::move(attached);
+    columns->csc = columns->attached.get();
   } else {
-    owned_csc_ = SparseMatrix::FromModel(model);
-    csc_ = &owned_csc_;
+    columns->owned_csc = SparseMatrix::FromModel(model);
+    columns->csc = &columns->owned_csc;
   }
+  columns->cost.assign(total_, 0.0);
+  for (int j = 0; j < n_; ++j) {
+    columns->cost[j] = obj_sign_ * model.obj()[j];
+  }
+  columns_ = std::move(columns);
+  dense_ = columns_->dense;
+  dense_cols_ = columns_->dense_cols.data();
+  csc_ = columns_->csc;
+  cost_ = columns_->cost.data();
 
-  cost_.assign(total_, 0.0);
   lb_.resize(total_);
   ub_.resize(total_);
   for (int j = 0; j < n_; ++j) {
-    cost_[j] = obj_sign_ * model.obj()[j];
     lb_[j] = model.lb()[j];
     ub_[j] = model.ub()[j];
   }
@@ -81,19 +90,49 @@ SimplexSolver::SimplexSolver(const Model& model, SimplexOptions options)
   dse_w_.assign(m_, 1.0);
 }
 
+SimplexSolver::SimplexSolver(const SimplexSolver& other,
+                             SimplexOptions options)
+    : model_(other.model_),
+      options_(options),
+      m_(other.m_),
+      n_(other.n_),
+      total_(other.total_),
+      columns_(other.columns_),
+      dense_(other.dense_),
+      dense_cols_(other.dense_cols_),
+      csc_(other.csc_),
+      cost_(other.cost_),
+      lb_(other.lb_),
+      ub_(other.ub_),
+      obj_sign_(other.obj_sign_) {
+  status_.assign(total_, VarStatus::kAtLower);
+  basis_.assign(m_, -1);
+  binv0_.assign(static_cast<size_t>(m_) * m_, 0.0);
+  xb_.assign(m_, 0.0);
+  devex_w_.assign(total_, 1.0);
+  dse_w_.assign(m_, 1.0);
+  // Size the per-solve scratch here, on the constructing thread, so a
+  // clone handed to another thread allocates nothing sized by the column
+  // count while it solves.
+  active_.reserve(static_cast<size_t>(total_));
+  breakpoints_.reserve(static_cast<size_t>(total_));
+  restore_seen_.assign(static_cast<size_t>(total_), 0);
+}
+
 size_t SimplexSolver::ApproximateBytes() const {
-  size_t columns = dense_ ? dense_cols_.size() * sizeof(double)
+  size_t columns = dense_ ? columns_->dense_cols.size() * sizeof(double)
                           : csc_->ApproximateBytes();
   return columns + binv0_.size() * sizeof(double) +
          etas_.size() * (sizeof(Eta) + m_ * sizeof(double)) +
-         (cost_.size() + lb_.size() + ub_.size() + devex_w_.size()) *
+         (columns_->cost.size() + lb_.size() + ub_.size() +
+          devex_w_.size()) *
              sizeof(double) +
          status_.size() + (basis_.size() + active_.size()) * sizeof(int);
 }
 
 double SimplexSolver::ColDot(const double* y, int j) const {
   if (dense_) {
-    const double* col = dense_cols_.data() + static_cast<size_t>(j) * m_;
+    const double* col = dense_cols_ + static_cast<size_t>(j) * m_;
     double dot = 0;
     for (int i = 0; i < m_; ++i) dot += y[i] * col[i];
     return dot;
@@ -103,7 +142,7 @@ double SimplexSolver::ColDot(const double* y, int j) const {
 
 void SimplexSolver::ScatterCol(int j, double scale, double* out) const {
   if (dense_) {
-    const double* col = dense_cols_.data() + static_cast<size_t>(j) * m_;
+    const double* col = dense_cols_ + static_cast<size_t>(j) * m_;
     for (int i = 0; i < m_; ++i) out[i] += scale * col[i];
     return;
   }
@@ -191,13 +230,17 @@ void SimplexSolver::InitAllSlackBasis() {
 
 Basis SimplexSolver::SnapshotBasis() const {
   Basis out;
-  out.valid = basis_valid_;
-  out.status.resize(static_cast<size_t>(total_));
-  for (int j = 0; j < total_; ++j) {
-    out.status[static_cast<size_t>(j)] = static_cast<uint8_t>(status_[j]);
-  }
-  out.rows.assign(basis_.begin(), basis_.end());
+  SnapshotBasis(&out);
   return out;
+}
+
+void SimplexSolver::SnapshotBasis(Basis* out) const {
+  out->valid = basis_valid_;
+  out->status.resize(static_cast<size_t>(total_));
+  for (int j = 0; j < total_; ++j) {
+    out->status[static_cast<size_t>(j)] = static_cast<uint8_t>(status_[j]);
+  }
+  out->rows.assign(basis_.begin(), basis_.end());
 }
 
 bool SimplexSolver::RestoreBasis(const Basis& basis) {
@@ -215,16 +258,25 @@ bool SimplexSolver::RestoreBasis(const Basis& basis) {
     if (s == static_cast<uint8_t>(VarStatus::kBasic)) ++basic_count;
   }
   if (basic_count != m_) return false;
-  std::vector<bool> seen(static_cast<size_t>(total_), false);
-  for (int i = 0; i < m_; ++i) {
-    int b = basis.rows[static_cast<size_t>(i)];
-    if (b < 0 || b >= total_ || seen[static_cast<size_t>(b)] ||
+  // Row-uniqueness marks live in a reused scratch; only the (at most m)
+  // marked entries are cleared again, whatever the outcome.
+  restore_seen_.resize(static_cast<size_t>(total_), 0);
+  bool consistent = true;
+  int marked = 0;
+  for (; marked < m_; ++marked) {
+    int b = basis.rows[static_cast<size_t>(marked)];
+    if (b < 0 || b >= total_ || restore_seen_[static_cast<size_t>(b)] ||
         basis.status[static_cast<size_t>(b)] !=
             static_cast<uint8_t>(VarStatus::kBasic)) {
-      return false;
+      consistent = false;
+      break;
     }
-    seen[static_cast<size_t>(b)] = true;
+    restore_seen_[static_cast<size_t>(b)] = 1;
   }
+  for (int i = 0; i < marked; ++i) {
+    restore_seen_[static_cast<size_t>(basis.rows[static_cast<size_t>(i)])] = 0;
+  }
+  if (!consistent) return false;
 
   for (int j = 0; j < total_; ++j) {
     status_[j] = static_cast<VarStatus>(basis.status[static_cast<size_t>(j)]);
@@ -413,7 +465,7 @@ void SimplexSolver::Ftran(int j, std::vector<double>* w) const {
     // w0 = B0^{-1} A_j, accumulated per nonzero of A_j (column k of the
     // factorized inverse, scaled).
     if (dense_) {
-      const double* col = dense_cols_.data() + static_cast<size_t>(j) * m_;
+      const double* col = dense_cols_ + static_cast<size_t>(j) * m_;
       for (int i = 0; i < m_; ++i) {
         double v = 0;
         const double* row = binv0_.data() + static_cast<size_t>(i) * m_;
@@ -811,7 +863,8 @@ bool SimplexSolver::MakeDualFeasible() {
   const double kTol = options_.opt_tol;
   // Flips are rolled back on failure: status_ must stay consistent with the
   // already-computed xb_ when the caller falls back to the primal phases.
-  std::vector<int> flipped;
+  std::vector<int>& flipped = flipped_;
+  flipped.clear();
   auto fail = [&]() {
     for (int v : flipped) {
       status_[v] = status_[v] == VarStatus::kAtUpper ? VarStatus::kAtLower
@@ -844,14 +897,7 @@ LpStatus SimplexSolver::RunDualPhase(const Deadline& deadline, int* iterations,
   *bailed = false;
   const bool dse = options_.dual_steepest_edge;
   std::vector<double> y, w, rho;
-  /// One dual-ratio-test breakpoint (bound-flipping mode only).
-  struct Breakpoint {
-    double ratio;      // |d_j| / |alpha_j|
-    double abs_alpha;  // tie-break: larger pivots are numerically safer
-    int j;
-    double alpha;
-  };
-  std::vector<Breakpoint> bps;
+  std::vector<Breakpoint>& bps = breakpoints_;
   std::vector<double> flip_accum;
   // Stall guard: a warm re-optimization should need few pivots; past this
   // the primal phases are the better tool (and always correct).
@@ -954,7 +1000,7 @@ LpStatus SimplexSolver::RunDualPhase(const Deadline& deadline, int* iterations,
       if (dse) {
         // Bound-flipping mode keeps every breakpoint: the long-step walk
         // below decides which one pivots and which merely flip.
-        bps.push_back({ratio, std::abs(alpha), j, alpha});
+        bps.push_back({ratio, alpha, j});
         continue;
       }
       if (ratio < best_ratio - 1e-12 ||
@@ -973,39 +1019,53 @@ LpStatus SimplexSolver::RunDualPhase(const Deadline& deadline, int* iterations,
       // variable is dual feasible at either bound), retiring the
       // breakpoint without a basis change. The first breakpoint that
       // cannot flip — free or one-sided column, box too large, or the last
-      // one standing — becomes the entering pivot column. ---
-      std::sort(bps.begin(), bps.end(),
-                [](const Breakpoint& a, const Breakpoint& b) {
-                  if (a.ratio != b.ratio) return a.ratio < b.ratio;
-                  if (a.abs_alpha != b.abs_alpha) {
-                    return a.abs_alpha > b.abs_alpha;
-                  }
-                  return a.j < b.j;
-                });
+      // one standing — becomes the entering pivot column.
+      //
+      // The walk usually stops after a handful of breakpoints out of
+      // thousands, so they are ordered lazily: one O(k) heapify, then one
+      // O(log k) pop per breakpoint visited. The order is the strict total
+      // order (ratio ascending, |alpha| descending, column index), so the
+      // walk visits exactly the sequence a full sort would. ---
+      auto later = [](const Breakpoint& a, const Breakpoint& b) {
+        if (a.ratio != b.ratio) return a.ratio > b.ratio;
+        double a_abs = std::abs(a.alpha), b_abs = std::abs(b.alpha);
+        if (a_abs != b_abs) return a_abs < b_abs;
+        return a.j > b.j;
+      };
+      std::make_heap(bps.begin(), bps.end(), later);
+      // Each pop moves the next breakpoint to the end of the shrinking
+      // heap, so the k-th one visited lands at index size - 1 - k.
+      const size_t count = bps.size();
+      auto visited = [&](size_t k) -> const Breakpoint& {
+        return bps[count - 1 - k];
+      };
       double slope = best_viol;
       const double keep_tol =
           options_.feas_tol * (1.0 + std::abs(xb_[leave_row]));
       size_t pivot_k = 0;
-      size_t flip_end = 0;  // breakpoints [0, flip_end) get flipped
-      for (size_t k = 0; k < bps.size(); ++k) {
-        const Breakpoint& bp = bps[k];
+      size_t flip_end = 0;  // visited breakpoints [0, flip_end) get flipped
+      for (size_t k = 0; k < count; ++k) {
+        std::pop_heap(bps.begin(), bps.end() - static_cast<ptrdiff_t>(k),
+                      later);
+        const Breakpoint& bp = visited(k);
         pivot_k = k;
-        if (k + 1 == bps.size()) break;  // someone must pivot
+        if (k + 1 == count) break;  // someone must pivot
         if (std::isinf(lb_[bp.j]) || std::isinf(ub_[bp.j])) break;
-        double step = bp.abs_alpha * (ub_[bp.j] - lb_[bp.j]);
+        double step = std::abs(bp.alpha) * (ub_[bp.j] - lb_[bp.j]);
         if (slope - step <= keep_tol) break;  // flip would erase the viol
         slope -= step;
         flip_end = k + 1;
       }
-      enter = bps[pivot_k].j;
-      best_alpha = bps[pivot_k].alpha;
+      enter = visited(pivot_k).j;
+      best_alpha = visited(pivot_k).alpha;
       if (flip_end > 0) {
-        // Apply every flip with a single FTRAN of the accumulated delta
-        // column: xb -= B^{-1} (sum_j delta_j A_j). The basis is untouched,
-        // so no eta is spent and the eta file stays short.
+        // Apply every flip, in visiting order, with a single FTRAN of the
+        // accumulated delta column: xb -= B^{-1} (sum_j delta_j A_j). The
+        // basis is untouched, so no eta is spent and the eta file stays
+        // short.
         flip_accum.assign(static_cast<size_t>(m_), 0.0);
         for (size_t k = 0; k < flip_end; ++k) {
-          int j = bps[k].j;
+          int j = visited(k).j;
           double delta_j = status_[j] == VarStatus::kAtLower
                                ? ub_[j] - lb_[j]
                                : lb_[j] - ub_[j];
@@ -1064,6 +1124,17 @@ LpStatus SimplexSolver::RunDualPhase(const Deadline& deadline, int* iterations,
 
 LpResult SimplexSolver::Solve(const Deadline& deadline) {
   LpResult result;
+  Solve(deadline, &result);
+  return result;
+}
+
+void SimplexSolver::Solve(const Deadline& deadline, LpResult* out) {
+  // Reset every field but keep the solution vector's capacity.
+  std::vector<double> x = std::move(out->x);
+  x.clear();
+  *out = LpResult();
+  out->x = std::move(x);
+  LpResult& result = *out;
   InitSolveCounters();
   RefreshActiveColumns();
   bool warm = options_.warm_start && basis_valid_;
@@ -1092,7 +1163,7 @@ LpResult SimplexSolver::Solve(const Deadline& deadline) {
         result.pricing_candidate_hits = candidate_hits_;
         result.bound_flips = bound_flips_;
         result.dse_pivots = dse_pivots_;
-        return result;
+        return;
       }
     }
     // Fall through in every other case: the primal phases below finish (and
@@ -1110,7 +1181,7 @@ LpResult SimplexSolver::Solve(const Deadline& deadline) {
   result.pricing_candidate_hits = candidate_hits_;
   result.bound_flips = bound_flips_;
   result.dse_pivots = dse_pivots_;
-  if (st != LpStatus::kOptimal) return result;
+  if (st != LpStatus::kOptimal) return;
 
   result.x.assign(n_, 0.0);
   for (int j = 0; j < n_; ++j) {
@@ -1122,7 +1193,6 @@ LpResult SimplexSolver::Solve(const Deadline& deadline) {
   double obj = 0;
   for (int j = 0; j < n_; ++j) obj += model_->obj()[j] * result.x[j];
   result.objective = obj;
-  return result;
 }
 
 }  // namespace paql::lp

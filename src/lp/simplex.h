@@ -156,8 +156,15 @@ class SimplexSolver {
 
   explicit SimplexSolver(const Model& model, SimplexOptions options = {});
 
-  /// Non-copyable/movable: csc_ may point into this object's own
-  /// owned_csc_, so the compiler-generated copies would dangle.
+  /// A solver over `other`'s model that shares its read-only column
+  /// storage and phase-2 costs instead of rebuilding them, starting from
+  /// `other`'s current working bounds with no basis. Concurrent
+  /// branch-and-bound workers are built this way from the root solver, so
+  /// a worker adds only its own bounds, statuses and pricing weights.
+  SimplexSolver(const SimplexSolver& other, SimplexOptions options);
+
+  /// Non-copyable/movable: the raw column and cost views point into
+  /// columns_, so the compiler-generated copies would be misleading.
   SimplexSolver(const SimplexSolver&) = delete;
   SimplexSolver& operator=(const SimplexSolver&) = delete;
 
@@ -175,9 +182,17 @@ class SimplexSolver {
   /// basis). `deadline` bounds wall-clock time.
   LpResult Solve(const Deadline& deadline);
 
+  /// Solve() into `out`, reusing the capacity of `out->x` (callers that
+  /// solve once per branch-and-bound node keep one LpResult and allocate
+  /// the solution vector once).
+  void Solve(const Deadline& deadline, LpResult* out);
+
   /// Save the current basis for later restoration (possibly into another
   /// solver over a same-shaped model). Invalid until the first Solve().
   Basis SnapshotBasis() const;
+
+  /// SnapshotBasis() into `out`, reusing its vectors' capacity.
+  void SnapshotBasis(Basis* out) const;
 
   /// Adopt `basis` as the warm-start point for the next Solve(). Returns
   /// false (and reverts to a cold start) when the basis has incompatible
@@ -297,23 +312,41 @@ class SimplexSolver {
   // w = B^{-1} A_j.
   void Ftran(int j, std::vector<double>* w) const;
 
+  /// Read-only per-model state, built once and shared by every solver
+  /// cloned from the one that built it: column storage (dense
+  /// column-major for small models, CSC otherwise — the model's attached
+  /// CSC when present, a privately built one when not) and the phase-2
+  /// costs.
+  struct ModelColumns {
+    bool dense = false;
+    std::vector<double> dense_cols;  // column-major, size n*m when dense
+    SparseMatrix owned_csc;
+    /// Keeps a model-attached view alive even if the model drops it.
+    std::shared_ptr<const SparseMatrix> attached;
+    const SparseMatrix* csc = nullptr;
+    std::vector<double> cost;  // phase-2 costs (internal minimize), n + m
+  };
+
+  /// One dual-ratio-test breakpoint (bound-flipping mode only).
+  struct Breakpoint {
+    double ratio;  // |d_j| / |alpha_j|
+    double alpha;  // |alpha| breaks ratio ties: larger pivots are safer
+    int j;
+  };
+
   const Model* model_;
   SimplexOptions options_;
   int m_;  // rows
   int n_;  // structural variables
   int total_;  // n_ + m_
 
-  // Column storage: dense column-major for small models, CSC otherwise
-  // (the model's attached CSC when present, a privately built one when
-  // not).
+  std::shared_ptr<const ModelColumns> columns_;
+  // Raw views into *columns_ for the hot loops.
   bool dense_ = false;
-  std::vector<double> dense_cols_;  // column-major, size n_*m_ when dense_
+  const double* dense_cols_ = nullptr;
   const SparseMatrix* csc_ = nullptr;
-  SparseMatrix owned_csc_;
-  /// Keeps a model-attached view alive even if the model drops it.
-  std::shared_ptr<const SparseMatrix> attached_hold_;
+  const double* cost_ = nullptr;
 
-  std::vector<double> cost_;   // phase-2 costs (internal minimize), size total_
   std::vector<double> lb_;     // working bounds, size total_
   std::vector<double> ub_;
   double obj_sign_;            // +1 minimize, -1 maximize
@@ -342,6 +375,12 @@ class SimplexSolver {
   std::vector<double> dse_tau_;    // scratch: B^{-1}rho
   int64_t bound_flips_ = 0;        // per-Solve counter
   int64_t dse_pivots_ = 0;         // per-Solve counter
+
+  // Scratch reused across solves, so a warm re-solve allocates nothing
+  // sized by the column count once the first solve has run.
+  std::vector<Breakpoint> breakpoints_;  // dual ratio test
+  std::vector<int> flipped_;             // MakeDualFeasible rollback list
+  std::vector<uint8_t> restore_seen_;    // RestoreBasis row-uniqueness check
 };
 
 }  // namespace paql::lp

@@ -1,5 +1,7 @@
 #include "paql/ast.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 
 namespace paql::lang {
@@ -326,6 +328,42 @@ void CollectColumns(const GlobalExpr& expr, std::vector<std::string>* out) {
   }
   if (expr.lhs) CollectColumns(*expr.lhs, out);
   if (expr.rhs) CollectColumns(*expr.rhs, out);
+}
+
+namespace {
+
+template <typename T>
+int DepthOrZero(const std::unique_ptr<T>& node) {
+  return node ? Depth(*node) : 0;
+}
+
+}  // namespace
+
+int Depth(const ScalarExpr& expr) {
+  return 1 + std::max(DepthOrZero(expr.lhs), DepthOrZero(expr.rhs));
+}
+
+int Depth(const BoolExpr& expr) {
+  return 1 + std::max({DepthOrZero(expr.scalar_lhs),
+                       DepthOrZero(expr.scalar_rhs),
+                       DepthOrZero(expr.between_lo),
+                       DepthOrZero(expr.between_hi), DepthOrZero(expr.left),
+                       DepthOrZero(expr.right)});
+}
+
+int Depth(const AggCall& call) {
+  return 1 + std::max(DepthOrZero(call.arg), DepthOrZero(call.filter));
+}
+
+int Depth(const GlobalExpr& expr) {
+  return 1 + std::max({DepthOrZero(expr.agg), DepthOrZero(expr.lhs),
+                       DepthOrZero(expr.rhs)});
+}
+
+int Depth(const GlobalPredicate& pred) {
+  return 1 + std::max({DepthOrZero(pred.lhs), DepthOrZero(pred.rhs),
+                       DepthOrZero(pred.lo), DepthOrZero(pred.hi),
+                       DepthOrZero(pred.left), DepthOrZero(pred.right)});
 }
 
 std::string ToString(const ScalarExpr& expr) {

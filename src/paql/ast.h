@@ -213,6 +213,25 @@ void CollectColumns(const BoolExpr& expr, std::vector<std::string>* out);
 void CollectColumns(const GlobalExpr& expr, std::vector<std::string>* out);
 
 // ---------------------------------------------------------------------------
+// Depth: nodes on the longest root-to-leaf path, counting every node of
+// every kind the recursive walkers descend through (an AggCall and its
+// argument and filter included).
+// ---------------------------------------------------------------------------
+
+/// The deepest expression the parser accepts: no parsed AST is deeper, and
+/// the parser's own recursion through parentheses, unary signs and NOTs
+/// stops at the same depth; deeper text is a kParseError. The recursive AST walkers (validation, compilation,
+/// printing, cloning) rely on this bound, so adversarial nesting cannot
+/// overflow their stacks.
+inline constexpr int kMaxExprDepth = 256;
+
+int Depth(const ScalarExpr& expr);
+int Depth(const BoolExpr& expr);
+int Depth(const AggCall& call);
+int Depth(const GlobalExpr& expr);
+int Depth(const GlobalPredicate& pred);
+
+// ---------------------------------------------------------------------------
 // Printing (produces parseable PaQL text; used for round-trip tests).
 // ---------------------------------------------------------------------------
 

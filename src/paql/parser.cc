@@ -1,6 +1,8 @@
 #include "paql/parser.h"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 
 #include "common/str_util.h"
 #include "paql/token.h"
@@ -9,6 +11,13 @@ namespace paql::lang {
 namespace {
 
 /// Token-stream parser with explicit backtracking (save/restore position).
+///
+/// Depth accounting (kMaxExprDepth): every expression parser leaves the
+/// depth of the tree it returns in depth_, and every node it builds checks
+/// its children's depths against the limit, so no deeper AST is ever
+/// built. Recursion that builds no node — a parenthesis — is bounded by
+/// nesting_, which the four factor parsers (every recursion cycle passes
+/// through one) count.
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -146,6 +155,33 @@ class Parser {
         StrCat("parse error at ", Peek().line, ":", Peek().column, ": ", msg));
   }
 
+  Status TooDeep() const {
+    return Error(StrCat("expression nests deeper than ", kMaxExprDepth,
+                        " levels"));
+  }
+
+  /// Account for one node over children of the given depths: depth_
+  /// becomes the node's depth, or the parse fails past the limit.
+  Status Node(std::initializer_list<int> children) {
+    int depth = 1 + std::max(children);
+    if (depth > kMaxExprDepth) return TooDeep();
+    depth_ = depth;
+    return Status::OK();
+  }
+
+  /// One level of factor recursion, released on scope exit.
+  class Nesting {
+   public:
+    explicit Nesting(Parser* parser) : parser_(parser) { ++parser_->nesting_; }
+    ~Nesting() { --parser_->nesting_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+    bool too_deep() const { return parser_->nesting_ > kMaxExprDepth; }
+
+   private:
+    Parser* parser_;
+  };
+
   // ------------------------------------------------------------------
   // Scalar expressions (precedence: unary - > * / > + -)
   // ------------------------------------------------------------------
@@ -155,7 +191,9 @@ class Parser {
       ScalarKind op =
           Check(TokenType::kPlus) ? ScalarKind::kAdd : ScalarKind::kSub;
       Advance();
+      int lhs_depth = depth_;
       PAQL_ASSIGN_OR_RETURN(auto rhs, ParseScalarTerm());
+      PAQL_RETURN_IF_ERROR(Node({lhs_depth, depth_}));
       lhs = ScalarExpr::Binary(op, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -167,20 +205,26 @@ class Parser {
       ScalarKind op =
           Check(TokenType::kStar) ? ScalarKind::kMul : ScalarKind::kDiv;
       Advance();
+      int lhs_depth = depth_;
       PAQL_ASSIGN_OR_RETURN(auto rhs, ParseScalarFactor());
+      PAQL_RETURN_IF_ERROR(Node({lhs_depth, depth_}));
       lhs = ScalarExpr::Binary(op, std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
   Result<std::unique_ptr<ScalarExpr>> ParseScalarFactor() {
+    Nesting nesting(this);
+    if (nesting.too_deep()) return TooDeep();
     if (Accept(TokenType::kMinus)) {
       PAQL_ASSIGN_OR_RETURN(auto inner, ParseScalarFactor());
+      PAQL_RETURN_IF_ERROR(Node({depth_}));
       return ScalarExpr::Unary(std::move(inner));
     }
     if (Accept(TokenType::kPlus)) {
       return ParseScalarFactor();
     }
+    depth_ = 1;  // the leaves below; a parenthesis reports its inner depth
     if (Check(TokenType::kNumber)) {
       double v = Peek().number;
       Advance();
@@ -220,7 +264,9 @@ class Parser {
   Result<std::unique_ptr<BoolExpr>> ParseBool() {
     PAQL_ASSIGN_OR_RETURN(auto lhs, ParseBoolTerm());
     while (Accept(TokenType::kOr)) {
+      int lhs_depth = depth_;
       PAQL_ASSIGN_OR_RETURN(auto rhs, ParseBoolTerm());
+      PAQL_RETURN_IF_ERROR(Node({lhs_depth, depth_}));
       lhs = BoolExpr::Or(std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -229,15 +275,20 @@ class Parser {
   Result<std::unique_ptr<BoolExpr>> ParseBoolTerm() {
     PAQL_ASSIGN_OR_RETURN(auto lhs, ParseBoolFactor());
     while (Accept(TokenType::kAnd)) {
+      int lhs_depth = depth_;
       PAQL_ASSIGN_OR_RETURN(auto rhs, ParseBoolFactor());
+      PAQL_RETURN_IF_ERROR(Node({lhs_depth, depth_}));
       lhs = BoolExpr::And(std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
   Result<std::unique_ptr<BoolExpr>> ParseBoolFactor() {
+    Nesting nesting(this);
+    if (nesting.too_deep()) return TooDeep();
     if (Accept(TokenType::kNot)) {
       PAQL_ASSIGN_OR_RETURN(auto inner, ParseBoolFactor());
+      PAQL_RETURN_IF_ERROR(Node({depth_}));
       return BoolExpr::Not(std::move(inner));
     }
     // '(' is ambiguous: "(a > 1) AND ..." vs "(a + b) > 1". Try to parse a
@@ -261,15 +312,19 @@ class Parser {
 
   Result<std::unique_ptr<BoolExpr>> ParseBoolPredicate() {
     PAQL_ASSIGN_OR_RETURN(auto lhs, ParseScalar());
+    int lhs_depth = depth_;
     if (Accept(TokenType::kBetween)) {
       PAQL_ASSIGN_OR_RETURN(auto lo, ParseScalar());
+      int lo_depth = depth_;
       PAQL_RETURN_IF_ERROR(Expect(TokenType::kAnd));
       PAQL_ASSIGN_OR_RETURN(auto hi, ParseScalar());
+      PAQL_RETURN_IF_ERROR(Node({lhs_depth, lo_depth, depth_}));
       return BoolExpr::Between(std::move(lhs), std::move(lo), std::move(hi));
     }
     if (Accept(TokenType::kIs)) {
       bool negated = Accept(TokenType::kNot);
       PAQL_RETURN_IF_ERROR(Expect(TokenType::kNull));
+      PAQL_RETURN_IF_ERROR(Node({lhs_depth}));
       auto e = std::make_unique<BoolExpr>();
       e->kind = negated ? BoolKind::kIsNotNull : BoolKind::kIsNull;
       e->scalar_lhs = std::move(lhs);
@@ -277,6 +332,7 @@ class Parser {
     }
     PAQL_ASSIGN_OR_RETURN(CmpOp op, ParseCmpOp());
     PAQL_ASSIGN_OR_RETURN(auto rhs, ParseScalar());
+    PAQL_RETURN_IF_ERROR(Node({lhs_depth, depth_}));
     return BoolExpr::Cmp(op, std::move(lhs), std::move(rhs));
   }
 
@@ -301,7 +357,9 @@ class Parser {
       const std::string& pkg) {
     PAQL_ASSIGN_OR_RETURN(auto lhs, ParseGlobalPredTerm(pkg));
     while (Accept(TokenType::kOr)) {
+      int lhs_depth = depth_;
       PAQL_ASSIGN_OR_RETURN(auto rhs, ParseGlobalPredTerm(pkg));
+      PAQL_RETURN_IF_ERROR(Node({lhs_depth, depth_}));
       lhs = GlobalPredicate::Or(std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -311,7 +369,9 @@ class Parser {
       const std::string& pkg) {
     PAQL_ASSIGN_OR_RETURN(auto lhs, ParseGlobalPredFactor(pkg));
     while (Accept(TokenType::kAnd)) {
+      int lhs_depth = depth_;
       PAQL_ASSIGN_OR_RETURN(auto rhs, ParseGlobalPredFactor(pkg));
+      PAQL_RETURN_IF_ERROR(Node({lhs_depth, depth_}));
       lhs = GlobalPredicate::And(std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -319,8 +379,11 @@ class Parser {
 
   Result<std::unique_ptr<GlobalPredicate>> ParseGlobalPredFactor(
       const std::string& pkg) {
+    Nesting nesting(this);
+    if (nesting.too_deep()) return TooDeep();
     if (Accept(TokenType::kNot)) {
       PAQL_ASSIGN_OR_RETURN(auto inner, ParseGlobalPredFactor(pkg));
+      PAQL_RETURN_IF_ERROR(Node({depth_}));
       return GlobalPredicate::Not(std::move(inner));
     }
     // Same '('-ambiguity as in WHERE: try comparison first, then paren-bool.
@@ -347,15 +410,19 @@ class Parser {
   Result<std::unique_ptr<GlobalPredicate>> ParseGlobalComparison(
       const std::string& pkg) {
     PAQL_ASSIGN_OR_RETURN(auto lhs, ParseGlobalExpr(pkg));
+    int lhs_depth = depth_;
     if (Accept(TokenType::kBetween)) {
       PAQL_ASSIGN_OR_RETURN(auto lo, ParseGlobalExpr(pkg));
+      int lo_depth = depth_;
       PAQL_RETURN_IF_ERROR(Expect(TokenType::kAnd));
       PAQL_ASSIGN_OR_RETURN(auto hi, ParseGlobalExpr(pkg));
+      PAQL_RETURN_IF_ERROR(Node({lhs_depth, lo_depth, depth_}));
       return GlobalPredicate::Between(std::move(lhs), std::move(lo),
                                       std::move(hi));
     }
     PAQL_ASSIGN_OR_RETURN(CmpOp op, ParseCmpOp());
     PAQL_ASSIGN_OR_RETURN(auto rhs, ParseGlobalExpr(pkg));
+    PAQL_RETURN_IF_ERROR(Node({lhs_depth, depth_}));
     return GlobalPredicate::Cmp(op, std::move(lhs), std::move(rhs));
   }
 
@@ -365,7 +432,9 @@ class Parser {
       GlobalKind op =
           Check(TokenType::kPlus) ? GlobalKind::kAdd : GlobalKind::kSub;
       Advance();
+      int lhs_depth = depth_;
       PAQL_ASSIGN_OR_RETURN(auto rhs, ParseGlobalTerm(pkg));
+      PAQL_RETURN_IF_ERROR(Node({lhs_depth, depth_}));
       lhs = GlobalExpr::Binary(op, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -377,7 +446,9 @@ class Parser {
       GlobalKind op =
           Check(TokenType::kStar) ? GlobalKind::kMul : GlobalKind::kDiv;
       Advance();
+      int lhs_depth = depth_;
       PAQL_ASSIGN_OR_RETURN(auto rhs, ParseGlobalFactor(pkg));
+      PAQL_RETURN_IF_ERROR(Node({lhs_depth, depth_}));
       lhs = GlobalExpr::Binary(op, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -385,8 +456,11 @@ class Parser {
 
   Result<std::unique_ptr<GlobalExpr>> ParseGlobalFactor(
       const std::string& pkg) {
+    Nesting nesting(this);
+    if (nesting.too_deep()) return TooDeep();
     if (Accept(TokenType::kMinus)) {
       PAQL_ASSIGN_OR_RETURN(auto inner, ParseGlobalFactor(pkg));
+      PAQL_RETURN_IF_ERROR(Node({depth_}));
       return GlobalExpr::Unary(std::move(inner));
     }
     if (Accept(TokenType::kPlus)) {
@@ -395,16 +469,19 @@ class Parser {
     if (Check(TokenType::kNumber)) {
       double v = Peek().number;
       Advance();
+      depth_ = 1;
       return GlobalExpr::Literal(v);
     }
     if (IsAggToken(Peek().type)) {
       PAQL_ASSIGN_OR_RETURN(auto call, ParseAggShorthand(pkg));
+      PAQL_RETURN_IF_ERROR(Node({depth_}));
       return GlobalExpr::Agg(std::move(call));
     }
     if (Check(TokenType::kLParen)) {
       // Subquery form or parenthesized global expression.
       if (Peek(1).type == TokenType::kSelect) {
         PAQL_ASSIGN_OR_RETURN(auto call, ParseAggSubquery(pkg));
+        PAQL_RETURN_IF_ERROR(Node({depth_}));
         return GlobalExpr::Agg(std::move(call));
       }
       Advance();  // consume '('
@@ -446,6 +523,7 @@ class Parser {
       if (Accept(TokenType::kStar)) {
         call->is_count_star = true;
         PAQL_RETURN_IF_ERROR(Expect(TokenType::kRParen));
+        depth_ = 1;
         return call;
       }
       if (Check(TokenType::kIdentifier) && Peek(1).type == TokenType::kDot &&
@@ -460,11 +538,13 @@ class Parser {
         Advance();  // '*'
         call->is_count_star = true;
         PAQL_RETURN_IF_ERROR(Expect(TokenType::kRParen));
+        depth_ = 1;
         return call;
       }
     }
     PAQL_ASSIGN_OR_RETURN(call->arg, ParseScalar());
     PAQL_RETURN_IF_ERROR(Expect(TokenType::kRParen));
+    PAQL_RETURN_IF_ERROR(Node({depth_}));
     return call;
   }
 
@@ -475,6 +555,7 @@ class Parser {
     auto call = std::make_unique<AggCall>();
     PAQL_ASSIGN_OR_RETURN(call->func, ParseAggName());
     PAQL_RETURN_IF_ERROR(Expect(TokenType::kLParen));
+    int arg_depth = 0;
     if (Accept(TokenType::kStar)) {
       if (call->func != relation::AggFunc::kCount) {
         return Error("only COUNT may aggregate '*'");
@@ -482,6 +563,7 @@ class Parser {
       call->is_count_star = true;
     } else {
       PAQL_ASSIGN_OR_RETURN(call->arg, ParseScalar());
+      arg_depth = depth_;
     }
     PAQL_RETURN_IF_ERROR(Expect(TokenType::kRParen));
     PAQL_RETURN_IF_ERROR(Expect(TokenType::kFrom));
@@ -490,15 +572,20 @@ class Parser {
       return Error(StrCat("aggregate subquery must select FROM the package '",
                           pkg, "', found '", from, "'"));
     }
+    int filter_depth = 0;
     if (Accept(TokenType::kWhere)) {
       PAQL_ASSIGN_OR_RETURN(call->filter, ParseBool());
+      filter_depth = depth_;
     }
     PAQL_RETURN_IF_ERROR(Expect(TokenType::kRParen));
+    PAQL_RETURN_IF_ERROR(Node({arg_depth, filter_depth}));
     return call;
   }
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;    // depth of the tree the last expression parser returned
+  int nesting_ = 0;  // active factor-parser frames
 };
 
 }  // namespace

@@ -13,7 +13,8 @@
 
 namespace paql::lang {
 
-/// Parse a full PaQL package query from text.
+/// Parse a full PaQL package query from text. Expressions deeper than
+/// kMaxExprDepth (paql/ast.h) are a kParseError.
 ///
 /// Example:
 ///   auto q = ParsePackageQuery(R"(

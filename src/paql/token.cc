@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/str_util.h"
+#include "paql/ast.h"
 
 namespace paql::lang {
 
@@ -99,6 +100,9 @@ Result<std::vector<Token>> Tokenize(std::string_view text) {
   auto error = [&](const std::string& msg) {
     return Status::ParseError(StrCat("lex error at ", line, ":", col, ": ", msg));
   };
+  // Open parentheses. The parser refuses nesting past kMaxExprDepth; failing
+  // here already keeps a megabyte of '(' from becoming a million tokens.
+  int open = 0;
   while (i < text.size()) {
     char c = text[i];
     if (c == '\n') {
@@ -183,8 +187,17 @@ Result<std::vector<Token>> Tokenize(std::string_view text) {
       ++col;
     };
     switch (c) {
-      case '(': push1(TokenType::kLParen); break;
-      case ')': push1(TokenType::kRParen); break;
+      case '(':
+        if (++open > kMaxExprDepth) {
+          return error(StrCat("parentheses nest deeper than ", kMaxExprDepth,
+                              " levels"));
+        }
+        push1(TokenType::kLParen);
+        break;
+      case ')':
+        --open;
+        push1(TokenType::kRParen);
+        break;
       case ',': push1(TokenType::kComma); break;
       case '.': push1(TokenType::kDot); break;
       case '*': push1(TokenType::kStar); break;

@@ -288,6 +288,34 @@ size_t Partitioning::max_group_size() const {
   return best;
 }
 
+bool PartitioningCovers(const Partitioning& partitioning,
+                        const ColumnSource& table) {
+  if (partitioning.gid.size() != table.num_rows()) return false;
+  size_t grouped = 0;
+  for (const auto& members : partitioning.groups) grouped += members.size();
+  if (grouped == partitioning.gid.size()) return true;
+  if (!table.has_deleted_rows()) return false;
+  for (RowId r = 0; r < partitioning.gid.size(); ++r) {
+    if (partitioning.gid[r] == kNoGroup && !table.RowDeleted(r)) return false;
+  }
+  return true;
+}
+
+Result<std::vector<std::vector<RowId>>> GroupRows(
+    const Partitioning& partitioning, const std::vector<RowId>& rows) {
+  std::vector<std::vector<RowId>> out(partitioning.num_groups());
+  for (RowId r : rows) {
+    if (r >= partitioning.gid.size() || partitioning.gid[r] >= out.size()) {
+      return Status::InvalidArgument(
+          StrCat("row ", r, " is in no group of the partitioning (",
+                 partitioning.gid.size(),
+                 " rows); it was built for another snapshot of the table"));
+    }
+    out[partitioning.gid[r]].push_back(r);
+  }
+  return out;
+}
+
 Result<Partitioning> PartitionTable(const ColumnSource& table,
                                     const PartitionOptions& options) {
   if (options.size_threshold == 0) {

@@ -87,6 +87,23 @@ struct Partitioning {
 Result<Partitioning> PartitionTable(const relation::ColumnSource& table,
                                     const PartitionOptions& options);
 
+/// True when `partitioning` can serve queries over `table`: it spans
+/// exactly the table's row space, and every row it leaves out of all
+/// groups is deleted in `table`. Row ids are stable across versions of a
+/// table, so two versions with one row count differ only by deletions —
+/// and a partitioning absorbed for the newer one has rows in no group that
+/// the older one still returns from its scan. O(groups) when nothing is
+/// ungrouped, one pass over the row space otherwise.
+bool PartitioningCovers(const Partitioning& partitioning,
+                        const relation::ColumnSource& table);
+
+/// `rows` split by group, in input order within each group. Fails with
+/// kInvalidArgument, naming the row, when a row is outside the row space
+/// or in no group: the partitioning describes another snapshot of the
+/// table (see PartitioningCovers).
+Result<std::vector<std::vector<relation::RowId>>> GroupRows(
+    const Partitioning& partitioning, const std::vector<relation::RowId>& rows);
+
 /// Assemble a Partitioning artifact from an explicit group assignment:
 /// computes gids, centroids, radii, and the representative relation. Groups
 /// must be disjoint and cover every live row of `table` (deleted rows of a

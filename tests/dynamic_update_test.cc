@@ -267,6 +267,38 @@ TEST(AbsorbBatchTest, DeletedRowsLeaveTheirGroupsAndMarkThemDirty) {
   }
 }
 
+TEST(AbsorbBatchTest, AbsorbedPartitioningCoversOnlyTheNewerSnapshot) {
+  // A delete keeps the row count, so the older snapshot and the newer one
+  // differ only in which rows are live. The absorbed partitioning leaves
+  // the deleted rows in no group: it covers the newer snapshot, not the
+  // older one (whose scan still returns those rows), and grouping the
+  // older snapshot's rows through it is a structured error, not a crash.
+  Table t = MakePoints(100, 21);
+  Partitioning p = MustPartition(t, 30);
+  std::vector<RowId> deletes = {3, 40, 77};
+  DeletableTable older(t, {});
+  DeletableTable newer(t, deletes);
+  auto r = AbsorbBatch(newer, p, deletes);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(PartitioningCovers(p, older));
+  EXPECT_TRUE(PartitioningCovers(r->partitioning, newer));
+  EXPECT_FALSE(PartitioningCovers(r->partitioning, older));
+  EXPECT_FALSE(PartitioningCovers(p, MakePoints(101, 21)));
+
+  std::vector<RowId> all(t.num_rows());
+  for (RowId row = 0; row < all.size(); ++row) all[row] = row;
+  auto grouped = GroupRows(r->partitioning, all);
+  ASSERT_FALSE(grouped.ok());
+  EXPECT_EQ(grouped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(grouped.status().message().find("row 3 "), std::string::npos)
+      << grouped.status();
+  auto live = GroupRows(p, all);
+  ASSERT_TRUE(live.ok()) << live.status();
+  size_t members = 0;
+  for (const auto& g : *live) members += g.size();
+  EXPECT_EQ(members, all.size());
+}
+
 TEST(AbsorbBatchTest, UnderfullGroupsDissolveIntoNeighbors) {
   // Two tight clusters partitioned with tau = 25: deleting most of one
   // cluster leaves its group below tau/4, so it dissolves and its

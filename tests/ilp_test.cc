@@ -2,8 +2,14 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 
+#include "common/stopwatch.h"
 #include "ilp/branch_and_bound.h"
+#include "paql/parser.h"
+#include "translate/compiled_query.h"
+#include "workload/galaxy.h"
+#include "workload/queries.h"
 
 namespace paql::ilp {
 namespace {
@@ -482,6 +488,72 @@ TEST_P(IlpVsBruteForceTest, MatchesEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(RandomIlps, IlpVsBruteForceTest,
                          ::testing::Range(1u, 61u));
+
+// ---------------------------------------------------------------------------
+// Time budget: presolve and root cuts must leave the search its budget
+// ---------------------------------------------------------------------------
+
+/// The DIRECT ILP of Galaxy Q2 (COUNT = 10 plus a tight SUM window over
+/// 20k rows, the workload's solver-killer) at one bound seed.
+Model MakeGalaxyQ2Model() {
+  relation::Table galaxy = workload::MakeGalaxyTable(20000);
+  auto queries = workload::MakeGalaxyQueries(galaxy, 1000003);
+  EXPECT_TRUE(queries.ok());
+  const workload::BenchQuery& q2 = (*queries)[1];
+  EXPECT_EQ(q2.name, "Q2");
+  auto parsed = lang::ParsePackageQuery(q2.paql);
+  EXPECT_TRUE(parsed.ok());
+  auto compiled = translate::CompiledQuery::Compile(*parsed, galaxy.schema());
+  EXPECT_TRUE(compiled.ok());
+  auto model = compiled->BuildModel(
+      galaxy, compiled->ComputeBaseRowsVectorized(galaxy));
+  EXPECT_TRUE(model.ok());
+  return std::move(*model);
+}
+
+TEST(IlpBudgetTest, GalaxyQ2SearchesWithinItsTimeLimit) {
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "wall-clock budget test: Release builds only";
+#endif
+  // Root cut separation used to take 150-300 ms a round on this model:
+  // the search got a 1 ms floor, explored one node, and the call returned
+  // after 0.3-0.5 s against a 0.2 s limit. Now the budget goes to nodes.
+  Model model = MakeGalaxyQ2Model();
+  ASSERT_EQ(model.num_vars(), 20000);
+  SolverLimits limits;
+  limits.time_limit_s = 0.2;
+  limits.memory_budget_bytes = 32ull << 20;
+  IlpStats stats;
+  Stopwatch watch;
+  auto solution = SolveIlp(model, limits, {}, nullptr, &stats);
+  const double wall = watch.ElapsedSeconds();
+  EXPECT_LT(wall, 0.3);
+  EXPECT_GE(stats.nodes, 2);
+  if (!solution.ok()) {
+    EXPECT_TRUE(solution.status().IsResourceExhausted())
+        << solution.status().ToString();
+  }
+}
+
+TEST(IlpBudgetTest, TimeLimitErrorReportsCallersLimitAndItsSplit) {
+  // A budget far below what presolve and one root LP need: the search
+  // runs on a small floor and fails. The error names the caller's limit
+  // and where the time went, not the leftover the search ran on.
+  Model model = MakeGalaxyQ2Model();
+  SolverLimits limits;
+  limits.time_limit_s = 1e-6;
+  auto solution = SolveIlp(model, limits);
+  ASSERT_FALSE(solution.ok());
+  ASSERT_TRUE(solution.status().IsResourceExhausted());
+  const std::string message = solution.status().message();
+  EXPECT_NE(message.find("ILP time limit of 1e-06s exceeded"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("presolve"), std::string::npos) << message;
+  EXPECT_NE(message.find("root cuts"), std::string::npos) << message;
+  EXPECT_EQ(message.find("0.001s"), std::string::npos) << message;
+}
 
 }  // namespace
 }  // namespace paql::ilp

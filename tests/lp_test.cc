@@ -834,6 +834,206 @@ TEST(SimplexDualPricingTest, DseSurvivesBasisRestoreAndRefactor) {
   }
 }
 
+/// Pivot, flip and objective totals of one warm re-solve sequence run with
+/// the default (steepest-edge + bound-flipping) dual phase.
+struct WalkFingerprint {
+  int64_t iterations = 0;
+  int64_t bound_flips = 0;
+  int64_t dse_pivots = 0;
+  int optimal = 0;
+  double objective_sum = 0;  // over the optimal solves
+  // sum_j (j + 1) x_j over the optimal solves: tells apart solutions that
+  // tie on the objective but differ in which duplicate column is used.
+  double index_moment = 0;
+};
+
+void AddToFingerprint(const LpResult& r, WalkFingerprint* f) {
+  f->iterations += r.iterations;
+  f->bound_flips += r.bound_flips;
+  f->dse_pivots += r.dse_pivots;
+  if (r.status == LpStatus::kOptimal) {
+    ++f->optimal;
+    f->objective_sum += r.objective;
+    for (size_t j = 0; j < r.x.size(); ++j) {
+      f->index_moment += static_cast<double>(j + 1) * r.x[j];
+    }
+  }
+}
+
+/// Knapsack LP whose columns are small-integer multiples of a few
+/// (value, weight) shapes: dual ratios tie exactly across columns with
+/// different pivot magnitudes, so the ratio test's tie-breaks decide.
+Model MakeTiedKnapsackLp(int n, uint64_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> shape(1, 3), scale(1, 4);
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  RowDef cap;
+  for (int j = 0; j < n; ++j) {
+    double k = scale(rng);
+    m.AddVariable(0, 1, k * shape(rng), false);
+    cap.vars.push_back(j);
+    cap.coefs.push_back(k * shape(rng));
+  }
+  cap.lo = -kInf;
+  cap.hi = static_cast<double>(n);
+  EXPECT_TRUE(m.AddRow(std::move(cap)).ok());
+  return m;
+}
+
+/// The warm re-solve sequences of the three tests above, in order: the
+/// ten overloaded knapsacks (followed by ten overloaded tied knapsacks),
+/// the forty boxed-LP bound-change walks, and the eager-refactor restore
+/// walk.
+std::vector<WalkFingerprint> DualWalkFingerprints() {
+  std::vector<WalkFingerprint> out;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Model m = seed <= 10 ? MakeKnapsackLp(200, seed)
+                         : MakeTiedKnapsackLp(200, seed);
+    SimplexSolver dse(m);
+    WalkFingerprint f;
+    AddToFingerprint(dse.Solve(Deadline(10.0)), &f);
+    std::mt19937 rng(seed * 31);
+    std::uniform_int_distribution<int> pick(0, m.num_vars() - 1);
+    for (int k = 0; k < 40; ++k) dse.SetVarBounds(pick(rng), 1, 1);
+    AddToFingerprint(dse.Solve(Deadline(10.0)), &f);
+    out.push_back(f);
+  }
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Model m = MakeBoxedLp(80, 6, seed * 7);
+    SimplexSolver dse(m);
+    WalkFingerprint f;
+    AddToFingerprint(dse.Solve(Deadline(10.0)), &f);
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<int> pick(0, m.num_vars() - 1);
+    for (int step = 0; step < 6; ++step) {
+      int var = pick(rng);
+      double mid = 0.5 * (m.lb()[var] + m.ub()[var]);
+      bool fix_up = (step & 1) != 0;
+      dse.SetVarBounds(var, fix_up ? mid : m.lb()[var],
+                       fix_up ? m.ub()[var] : mid);
+      AddToFingerprint(dse.Solve(Deadline(10.0)), &f);
+      dse.SetVarBounds(var, m.lb()[var], m.ub()[var]);
+    }
+    out.push_back(f);
+  }
+  {
+    Model m = MakeKnapsackLp(300, 17);
+    SimplexOptions eager;
+    eager.refactor_every = 1;
+    SimplexSolver warm(m, eager);
+    WalkFingerprint f;
+    AddToFingerprint(warm.Solve(Deadline(10.0)), &f);
+    Basis root = warm.SnapshotBasis();
+    std::mt19937 rng(5);
+    std::uniform_int_distribution<int> pick(0, m.num_vars() - 1);
+    for (int step = 0; step < 6; ++step) {
+      int var = pick(rng);
+      EXPECT_TRUE(warm.RestoreBasis(root));
+      warm.SetVarBounds(var, 1, 1);
+      AddToFingerprint(warm.Solve(Deadline(10.0)), &f);
+      warm.SetVarBounds(var, 0, 1);
+    }
+    out.push_back(f);
+  }
+  return out;
+}
+
+TEST(SimplexDualPricingTest, BreakpointWalkMatchesRecordedSortedWalk) {
+  // The bound-flipping ratio test selects breakpoints lazily from a heap.
+  // It must visit them in exactly the order a full sort would, so every
+  // pivot, flip and objective of these warm re-solves must equal the
+  // figures recorded from the full-sort implementation: {iterations,
+  // bound_flips, dse_pivots, optimal solves, objective sum, index moment}.
+  struct Recorded {
+    int64_t iterations, bound_flips, dse_pivots;
+    int optimal;
+    double objective_sum, index_moment;
+  };
+  const Recorded kRecorded[] = {
+      {125, 23, 1, 2, 1295.3173384453803, 20878.105753600015},
+      {117, 29, 1, 2, 1153.2746146221866, 15609.744412422586},
+      {104, 25, 1, 2, 1161.8081072983546, 16687.003942911113},
+      {112, 31, 1, 2, 1126.9525543291829, 17354.960714875553},
+      {104, 20, 1, 2, 1078.4957776677952, 16309.044730756654},
+      {122, 20, 1, 2, 1246.0005213519921, 18070.972182919875},
+      {111, 20, 1, 2, 1160.8556824856585, 17808.630399350935},
+      {119, 30, 1, 2, 1233.2329210563043, 18671.022033646619},
+      {111, 21, 1, 2, 1200.8900950107297, 17651.987479487125},
+      {116, 23, 1, 2, 1128.5285230025338, 16659.454978129383},
+      {87, 53, 1, 2, 615, 10613.5},
+      {75, 49, 1, 1, 390.5, 5269},
+      {76, 31, 1, 2, 695.5, 9691.8333333333339},
+      {83, 21, 1, 2, 782, 12950.666666666668},
+      {80, 26, 1, 2, 679, 11728.5},
+      {82, 48, 1, 1, 412, 6512},
+      {81, 35, 1, 2, 642, 11044.166666666668},
+      {74, 47, 1, 1, 372, 5314},
+      {87, 36, 1, 2, 654, 12701},
+      {81, 49, 1, 1, 422.5, 5895.25},
+      {55, 0, 0, 7, 656.23421988731184, 13316.847516090796},
+      {62, 0, 0, 7, -721.6255928628666, 14355.132522895577},
+      {72, 0, 6, 7, -734.04821328718447, 17031.482413426089},
+      {79, 0, 0, 7, 730.46293109388989, 15131.564974001025},
+      {74, 2, 7, 7, 623.56585612163121, 13518.232121679508},
+      {70, 1, 12, 7, -734.62964522271841, 16158.96800100194},
+      {72, 0, 2, 7, 732.8498134867433, 13750.742468870767},
+      {73, 0, 0, 7, 691.4880313195132, 17189.453485442224},
+      {56, 0, 0, 7, 784.65216596031428, 14856.497754799091},
+      {71, 0, 2, 7, -688.58532369019429, 11354.260034359633},
+      {83, 0, 6, 7, 687.82389346478067, 13689.606639540625},
+      {69, 0, 4, 7, -602.71253559223896, 12658.160049046317},
+      {77, 6, 12, 7, -426.93083689454227, 11158.456342610136},
+      {60, 0, 2, 7, 612.79206168792928, 10145.960802775317},
+      {79, 3, 13, 7, 692.68010365393798, 14983.624708768295},
+      {68, 0, 8, 7, -645.54447765499776, 14607.067149091579},
+      {60, 0, 0, 7, 607.84448289156182, 14385.827189214944},
+      {86, 0, 2, 7, -773.98962289608448, 15018.566206760031},
+      {60, 1, 12, 7, 481.13110003783083, 11009.259394379214},
+      {80, 0, 8, 7, 830.09810055508194, 18150.12318901248},
+      {89, 1, 8, 7, 819.22994896150351, 16741.570373391758},
+      {60, 0, 0, 7, -767.39052619556139, 15027.777374767113},
+      {68, 0, 6, 7, 706.49314558942103, 15131.302785750227},
+      {59, 0, 0, 7, 776.11218202962186, 16482.406013706892},
+      {48, 0, 0, 7, 660.48036804614094, 12874.261253159615},
+      {57, 0, 0, 7, 573.35262115176386, 11732.709745036469},
+      {78, 3, 12, 7, 598.21707151122234, 11829.34404342213},
+      {88, 4, 14, 7, 715.99565956187712, 16573.616815836464},
+      {54, 0, 0, 7, -646.00735340850747, 13650.841192329146},
+      {62, 0, 6, 7, 595.96962610631385, 12207.948784333556},
+      {48, 0, 0, 7, 460.06719533062056, 10909.523582310041},
+      {53, 0, 4, 7, 621.157953933155, 15643.658960873341},
+      {61, 0, 0, 7, -500.00977073332979, 11758.846470286793},
+      {59, 0, 0, 7, 798.46590801585489, 14917.54901070837},
+      {61, 0, 3, 7, -673.22852562066328, 13989.899643750892},
+      {48, 0, 4, 7, -602.01903289548272, 12710.318677252539},
+      {56, 0, 0, 7, -698.6873559089039, 15072.047945682047},
+      {59, 0, 6, 7, -817.72247278530085, 15696.249830769199},
+      {55, 0, 4, 7, 517.01985239505859, 13473.304908858707},
+      {52, 0, 0, 7, -666.27198911623191, 13883.315911922664},
+      {169, 0, 2, 7, 6692.6775712468043, 136572.99578628381},
+  };
+  std::vector<WalkFingerprint> got = DualWalkFingerprints();
+  ASSERT_EQ(got.size(), std::size(kRecorded));
+  int64_t flips = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const Recorded& want = kRecorded[i];
+    EXPECT_EQ(got[i].iterations, want.iterations) << "sequence " << i;
+    EXPECT_EQ(got[i].bound_flips, want.bound_flips) << "sequence " << i;
+    EXPECT_EQ(got[i].dse_pivots, want.dse_pivots) << "sequence " << i;
+    EXPECT_EQ(got[i].optimal, want.optimal) << "sequence " << i;
+    EXPECT_NEAR(got[i].objective_sum, want.objective_sum,
+                1e-9 * (1.0 + std::abs(want.objective_sum)))
+        << "sequence " << i;
+    EXPECT_NEAR(got[i].index_moment, want.index_moment,
+                1e-9 * (1.0 + std::abs(want.index_moment)))
+        << "sequence " << i;
+    flips += got[i].bound_flips;
+  }
+  // Vacuity guard: the walks must flip real breakpoints.
+  EXPECT_GT(flips, 0);
+}
+
 TEST(SimplexWarmStartTest, ColdKillSwitchDisablesBasisReuse) {
   Model m = MakeKnapsackLp(25, 3);
   SimplexOptions cold_opts;

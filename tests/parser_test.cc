@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/str_util.h"
 #include "paql/ast.h"
 #include "paql/parser.h"
 
@@ -258,6 +261,99 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT PACKAGE(R) AS P FROM T R MAXIMIZE SUM(P.gain) - "
         "(2 * SUM(P.cost))",
         "SELECT PACKAGE(R) AS P FROM T R WHERE (a + b) * 2 > 6"));
+
+// ---------------------------------------------------------------------------
+// Nesting depth: adversarial text is a structured error, never a crash.
+// ---------------------------------------------------------------------------
+
+std::string Repeat(std::string_view piece, size_t times) {
+  std::string out;
+  out.reserve(piece.size() * times);
+  for (size_t i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+void ExpectTooDeep(const std::string& text) {
+  auto parsed = ParsePackageQuery(text);
+  ASSERT_FALSE(parsed.ok()) << "text of " << text.size() << " bytes parsed";
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_NE(parsed.status().message().find("deeper than 256"),
+            std::string::npos)
+      << parsed.status();
+}
+
+constexpr const char* kHead = "SELECT PACKAGE(R) AS P FROM T R REPEAT 0 ";
+
+TEST(ParserDepthTest, MillionDeepNestingIsAParseError) {
+  const size_t kDeep = 1000000;
+  // Parentheses around a WHERE predicate, around a scalar, and around a
+  // SUCH THAT predicate.
+  ExpectTooDeep(StrCat(kHead, "WHERE ", Repeat("(", kDeep), "R.a > 1",
+                       Repeat(")", kDeep)));
+  ExpectTooDeep(StrCat(kHead, "WHERE ", Repeat("(", kDeep), "R.a",
+                       Repeat(")", kDeep), " > 1"));
+  ExpectTooDeep(StrCat(kHead, "SUCH THAT ", Repeat("(", kDeep),
+                       "COUNT(P.*) = 1", Repeat(")", kDeep)));
+  // (Operator chains tokenize in full before the parser stops them, so
+  // they run 100k deep: still 400 times the limit, at a tenth the tokens.)
+  const size_t kChain = 100000;
+  ExpectTooDeep(StrCat(kHead, "WHERE ", Repeat("NOT ", kChain), "R.a > 1"));
+  ExpectTooDeep(StrCat(kHead, "WHERE ", Repeat("- ", kChain), "R.a > 1"));
+  ExpectTooDeep(StrCat(kHead, "SUCH THAT ", Repeat("NOT ", kChain),
+                       "COUNT(P.*) = 1"));
+  ExpectTooDeep(StrCat(kHead, "SUCH THAT COUNT(P.*) = 1 MINIMIZE ",
+                       Repeat("- ", kChain), "SUM(P.a)"));
+}
+
+TEST(ParserDepthTest, LongOperatorChainsAreBoundedByTheirTreeDepth) {
+  // A flat chain builds a left-deep tree, one level per operator.
+  ExpectTooDeep(StrCat(kHead, "WHERE R.a > 1", Repeat(" OR R.a > 1", 5000)));
+  ExpectTooDeep(StrCat(kHead, "WHERE R.a", Repeat(" + R.a", 5000), " > 1"));
+  ExpectTooDeep(StrCat(kHead, "SUCH THAT COUNT(P.*) = 1",
+                       Repeat(" AND COUNT(P.*) = 1", 5000)));
+  ExpectTooDeep(StrCat(kHead, "SUCH THAT COUNT(P.*) = 1 MINIMIZE SUM(P.a)",
+                       Repeat(" + SUM(P.a)", 5000)));
+}
+
+TEST(ParserDepthTest, TheLimitIsExactAndMatchesDepth) {
+  // n AND-ed comparisons: each comparison is 2 levels (the Cmp node over
+  // its column and literal), each AND one more: depth n + 1.
+  auto chain = [](size_t n) {
+    return StrCat(kHead, "WHERE R.a > 1", Repeat(" AND R.a > 1", n - 1));
+  };
+  auto at_limit = ParsePackageQuery(chain(kMaxExprDepth - 1));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status();
+  EXPECT_EQ(Depth(*at_limit->where), kMaxExprDepth);
+  ExpectTooDeep(chain(kMaxExprDepth));
+
+  // Parentheses add no node; NOT does: a comparison under 200 NOTs is
+  // 202 deep. NOTs past the limit stop the parser's own recursion.
+  auto nots = [](size_t n) {
+    return StrCat(kHead, "WHERE ", Repeat("NOT ", n), "(R.a > 1)");
+  };
+  auto under_nots = ParsePackageQuery(nots(200));
+  ASSERT_TRUE(under_nots.ok()) << under_nots.status();
+  EXPECT_EQ(Depth(*under_nots->where), 202);
+  ExpectTooDeep(nots(kMaxExprDepth));
+
+  // Aggregates count their call node: COUNT(P.*) is 2 deep, SUM(P.a) 3,
+  // a comparison of the two 4, and a subquery filter adds its own depth.
+  auto q = ParsePackageQuery(StrCat(
+      kHead, "SUCH THAT COUNT(P.*) <= SUM(P.a) AND "
+             "(SELECT COUNT(*) FROM P WHERE P.a > 1 AND P.b > 2) >= 1"));
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(Depth(*q->such_that->left), 4);
+  EXPECT_EQ(Depth(*q->such_that->right), 6);
+  EXPECT_EQ(Depth(*q->such_that), 7);
+
+  // Parentheses within the limit parse to a shallow tree.
+  auto parens = ParsePackageQuery(StrCat(kHead, "WHERE ",
+                                         Repeat("(", kMaxExprDepth - 3),
+                                         "R.a > 1",
+                                         Repeat(")", kMaxExprDepth - 3)));
+  ASSERT_TRUE(parens.ok()) << parens.status();
+  EXPECT_EQ(Depth(*parens->where), 2);
+}
 
 }  // namespace
 }  // namespace paql::lang

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstring>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -721,6 +722,147 @@ TEST(ServerTest, SpeaksTheLineProtocol) {
   // QUIT closes the connection.
   ASSERT_TRUE(client.SendLine("QUIT"));
   EXPECT_TRUE(client.AtEof());
+  server.Stop();
+}
+
+/// One INSERT payload row (schema order) for a Galaxy-shaped table.
+std::string GalaxyRowLiteral(const Table& source, relation::RowId row) {
+  std::string out;
+  for (size_t c = 0; c < source.num_columns(); ++c) {
+    if (c > 0) out += ",";
+    out += source.schema().column(c).type == DataType::kInt64
+               ? std::to_string(source.GetInt64(row, c))
+               : FormatDouble(source.GetDouble(row, c), 17);
+  }
+  return out;
+}
+
+TEST(ServerTest, SketchRefineRunsSurviveConcurrentInsertsAndDeletes) {
+  // RUN statements that plan SKETCHREFINE on the very table a writer is
+  // changing. A DELETE leaves the row count alone, so a partitioning
+  // absorbed for the newer snapshot (deleted rows in no group) passed the
+  // row-count check for a reader still on the older snapshot, whose scan
+  // returns those rows — and the group lookup indexed past the group
+  // list, killing the server. Every RUN must come back as a package: these
+  // statements are feasible, so even a structured ERR is a failure.
+  Catalog catalog;
+  PopulateServiceCatalog(&catalog);
+  ServerOptions options;
+  options.scheduler.engine = DeterministicOptions();
+  Server server(catalog, options);
+  ASSERT_TRUE(server.Start().ok());
+  const Table inserts = workload::MakeGalaxyTable(64, 77);
+  constexpr int kBatches = 60;
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> answered{0};
+  std::atomic<int> bad_lines{0};
+  std::thread writer([&] {
+    TestClient client;
+    if (!client.Connect(server.port())) {
+      bad_lines++;
+      writer_done = true;
+      return;
+    }
+    std::mt19937 rng(17);
+    std::vector<relation::RowId> live(2500);
+    for (size_t r = 0; r < live.size(); ++r) live[r] = r;
+    relation::RowId next_id = live.size();
+    std::string line;
+    for (int b = 0; b < kBatches; ++b) {
+      std::string request;
+      if (b % 2 == 0) {
+        request = "INSERT galaxy ";
+        for (int k = 0; k < 4; ++k) {
+          if (k > 0) request += ";";
+          request += GalaxyRowLiteral(inserts, (4 * b + k) % inserts.num_rows());
+          live.push_back(next_id++);
+        }
+      } else {
+        request = "DELETE galaxy ";
+        for (int k = 0; k < 4; ++k) {
+          size_t pick = rng() % live.size();
+          request += StrCat(k > 0 ? "," : "", live[pick]);
+          live[pick] = live.back();
+          live.pop_back();
+        }
+      }
+      if (!client.SendLine(request) || !client.ReadLine(&line) ||
+          line.rfind("UPD ", 0) != 0 || !client.ReadLine(&line) ||
+          line.rfind("OK ", 0) != 0) {
+        bad_lines++;
+        break;
+      }
+    }
+    writer_done = true;
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      TestClient client;
+      if (!client.Connect(server.port())) {
+        bad_lines++;
+        return;
+      }
+      std::string line;
+      for (int i = 0; !writer_done || i < 4; ++i) {
+        // Alternate a repeated statement (the artifact-cache path) with
+        // fresh ones (the partition-registry path).
+        std::string query =
+            i % 2 == 0 ? std::string(kGalaxyQuery)
+                       : StrCat("SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0 "
+                                "SUCH THAT COUNT(P.*) = ", 2 + (i + t) % 5,
+                                " MINIMIZE SUM(P.petroRad_r)");
+        if (!client.SendLine(StrCat("RUN ", query)) || !client.ReadLine(&line)) {
+          bad_lines++;
+          return;
+        }
+        if (line.rfind("PKG ", 0) != 0 || !client.ReadLine(&line) ||
+            line.rfind("OK ", 0) != 0) {
+          ADD_FAILURE() << query << " -> " << line;
+          bad_lines++;
+          return;
+        }
+        answered++;
+      }
+    });
+  }
+  writer.join();
+  for (auto& reader : readers) reader.join();
+  server.Stop();
+  EXPECT_EQ(bad_lines.load(), 0);
+  EXPECT_GT(answered.load(), 0);
+}
+
+TEST(ServerTest, DeeplyNestedStatementsGetAStructuredError) {
+  // A 40 KB RUN line of 20,000 nested parentheses used to overflow the
+  // parser's stack and kill the server; so would a million. Both are an
+  // ERR PARSE line now, and the connection keeps serving. (The request
+  // limit is raised so the 2 MB line reaches the parser.)
+  Catalog catalog;
+  PopulateServiceCatalog(&catalog);
+  ServerOptions options;
+  options.scheduler.engine = DeterministicOptions();
+  options.max_request_bytes = 4 << 20;
+  Server server(catalog, options);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  for (size_t deep : {size_t{20000}, size_t{1000000}}) {
+    std::string nested = std::string(deep, '(') + "R.kcal > 0" +
+                         std::string(deep, ')');
+    ASSERT_TRUE(client.SendLine(
+        StrCat("RUN SELECT PACKAGE(R) AS P FROM recipes R REPEAT 0 WHERE ",
+               nested, " SUCH THAT COUNT(P.*) = 1 MINIMIZE SUM(P.fat)")));
+    std::string line;
+    ASSERT_TRUE(client.ReadLine(&line)) << deep << "-deep: connection lost";
+    EXPECT_EQ(line.rfind("ERR PARSE ", 0), 0u) << line;
+    EXPECT_NE(line.find("deeper than 256"), std::string::npos) << line;
+  }
+  std::string line;
+  ASSERT_TRUE(client.SendLine(StrCat("RUN ", kRecipesQuery)));
+  ASSERT_TRUE(client.ReadLine(&line));
+  EXPECT_EQ(line.rfind("PKG ", 0), 0u) << line;
   server.Stop();
 }
 
